@@ -72,7 +72,7 @@ SWEEP_MIN_PASSES = 2
 # CPUs take.  Both sit far from the limit, so neither flips between passing
 # and failing from one seed to the next.
 SERVE_RATES = (12.0, 128.0)
-SERVE_SHARES = (0.8, 0.04)
+SERVE_SHARES = (0.9, 0.03)
 SERVE_BURST = 2
 SERVE_LIMIT_MS = 500.0
 SERVE_POPULAR = 8
@@ -526,9 +526,9 @@ class ServeLoad:
 
     Every other query repeats one of a few popular groups and the rest ask
     for unseen groups, so the repeat share is exact and every arriving pair
-    holds one of each.  The (k, consensus, period)
-    combinations are dealt in seeded order from the full grid, so every seed
-    asks for the same mix of them; the seed picks the groups and the order.
+    holds one of each.  Repeats and unseen queries each get (k, consensus,
+    period) dealt in seeded order from the full grid, so every seed asks
+    both kinds for the same mix; the seed picks the groups and the order.
     """
 
     def __init__(self, environment, seed: int) -> None:
@@ -537,7 +537,7 @@ class ServeLoad:
         self.size = environment.config.group_size
         periods = range(len(list(environment.timeline)))
         self.grid = [(k, c, p) for k in SERVE_K for c in SERVE_CONSENSUS for p in periods]
-        self.dealt: list[tuple] = []
+        self.dealt: dict[bool, list[tuple]] = {True: [], False: []}
         self.popular = [self._draw() for _ in range(SERVE_POPULAR)]
         self.seen = set(self.popular)
 
@@ -551,17 +551,18 @@ class ServeLoad:
                 self.seen.add(group)
                 return group
 
-    def _knobs(self) -> tuple:
-        if not self.dealt:
-            self.dealt = list(self.grid)
-            self.rng.shuffle(self.dealt)
-        return self.dealt.pop()
+    def _knobs(self, repeat: bool) -> tuple:
+        if not self.dealt[repeat]:
+            self.dealt[repeat] = list(self.grid)
+            self.rng.shuffle(self.dealt[repeat])
+        return self.dealt[repeat].pop()
 
     def queries(self, count: int) -> list[GroupQuery]:
         queries = []
         for index in range(count):
-            group = self.rng.choice(self.popular) if index % 2 == 0 else self._unseen()
-            k, consensus, period_index = self._knobs()
+            repeat = index % 2 == 0
+            group = self.rng.choice(self.popular) if repeat else self._unseen()
+            k, consensus, period_index = self._knobs(repeat)
             queries.append(
                 GroupQuery(group=group, k=k, consensus=consensus, period_index=period_index)
             )
