@@ -1,96 +1,48 @@
-"""Metric names, units and the per-layer numbers read back from a traced run.
+"""The per-layer numbers read back from a traced run.
 
-``END_TO_END`` and ``PER_LAYER`` mirror ``BENCHMARK.json`` (a test keeps
-them equal).  Span metrics are mean milliseconds per call in the traced
-timed phase, parent and worker processes together; ``cf.*`` and
-``core.affinities_s`` also cover set-up, where most of their calls happen.
-A metric whose layer a workload never reaches reads 0.
+Metric names and units are declared once, in ``BENCHMARK.json``; this
+module maps the span-derived metrics to the span they are read from.  Span
+metrics are mean milliseconds per call in the traced timed phase, parent
+and worker processes together; ``cf.*`` and ``core.affinities_s`` also
+cover set-up, where most of their calls happen.  A metric whose layer a
+workload never reaches reads 0.
 """
 
 from __future__ import annotations
 
 import statistics
 
-from perfbench.trace import Tracer, explained_share, span_totals
+from perfbench.trace import Tracer, explained_share, merge_totals, span_totals
 
-END_TO_END = {
-    "setup_s": "s",
-    "runs_per_s": "runs/s",
-    "query_p50_ms": "ms",
-    "query_p95_ms": "ms",
-    "max_qps": "queries/s",
-    "peak_rss_mb": "MB",
-    "colstore_mb": "MB",
-}
-
-#: Per-layer metric -> (unit, span name or None when derived otherwise).
-PER_LAYER = {
-    "cf.fit_s": ("s", "cf.fit"),
-    "cf.predict_all_ms": ("ms", "cf.predict_all"),
-    "cf.predict_all_calls": ("count", None),
-    "cf.predict_items_ms": ("ms", "cf.predict_items"),
-    "cf.predict_items_cells": ("count", None),
-    "cf.partial_refit_ms": ("ms", "cf.partial_refit"),
-    "core.affinities_s": ("s", "core.affinities"),
-    "core.build_lists_ms": ("ms", "core.build_lists"),
-    "core.advance_ms": ("ms", "core.advance"),
-    "core.refresh_bounds_ms": ("ms", "core.refresh_bounds"),
-    "core.consensus_bounds_ms": ("ms", "core.consensus_bounds"),
-    "core.stop_check_ms": ("ms", None),
-    "core.rescore_ms": ("ms", "core.rescore"),
-    "core.checks": ("count", None),
-    "core.rounds": ("count", None),
-    "core.sequential_accesses": ("count", None),
-    "core.percent_sa": ("%", None),
-    "core.factory_build_ms": ("ms", "core.factory_build"),
-    "core.factory_builds": ("count", None),
-    "experiments.factory_hit_ratio": ("ratio", None),
-    "experiments.task_build_ms": ("ms", "experiments.task_for"),
-    "experiments.affinity_columns_ms": ("ms", "experiments.affinity_columns"),
-    "parallel.export_ms": ("ms", "parallel.export"),
-    "parallel.exports": ("count", None),
-    "parallel.export_hit_ratio": ("ratio", None),
-    "parallel.payload_build_ms": ("ms", "parallel.payload_build"),
-    "parallel.payload_kb": ("KB", None),
-    "parallel.dispatch_ms": ("ms", "parallel.dispatch"),
-    "parallel.worker_shard_ms": ("ms", "parallel.worker_shard"),
-    "parallel.worker_index_build_ms": ("ms", "parallel.worker_index_build"),
-    "parallel.shard_skew": ("ratio", None),
-    "parallel.merge_ms": ("ms", "parallel.merge"),
-    "parallel.retries": ("count", None),
-    "parallel.rebuilds": ("count", None),
-    "parallel.degraded": ("count", None),
-    "parallel.tracker_errors": ("count", None),
-    "service.queue_p50_ms": ("ms", None),
-    "service.queue_p95_ms": ("ms", None),
-    "service.dispatch_ms": ("ms", None),
-    "service.batch_size_mean": ("count", None),
-    "service.batch_size_max": ("count", None),
-    "service.gen_late_p95_ms": ("ms", None),
-    "service.gen_late_max_ms": ("ms", None),
-    "updates.apply_ms": ("ms", "updates.apply"),
-    "updates.refresh_aprefs_ms": ("ms", "updates.refresh_aprefs"),
-    "updates.refresh_affinities_ms": ("ms", "updates.refresh_affinities"),
-    "updates.retire_ms": ("ms", "updates.retire"),
-    "updates.changed_share": ("ratio", None),
-    "updates.invalidated_groups": ("count", None),
-    "updates.full_rebuilds": ("count", None),
-    "trace.overhead_pct": ("%", None),
-    "trace.explained_pct": ("%", None),
+#: Per-layer metric -> the span it is the mean duration of.
+SPANS = {
+    "cf.fit_s": "cf.fit",
+    "cf.predict_all_ms": "cf.predict_all",
+    "cf.predict_items_ms": "cf.predict_items",
+    "cf.partial_refit_ms": "cf.partial_refit",
+    "core.affinities_s": "core.affinities",
+    "core.build_lists_ms": "core.build_lists",
+    "core.advance_ms": "core.advance",
+    "core.refresh_bounds_ms": "core.refresh_bounds",
+    "core.consensus_bounds_ms": "core.consensus_bounds",
+    "core.rescore_ms": "core.rescore",
+    "core.factory_build_ms": "core.factory_build",
+    "experiments.task_build_ms": "experiments.task_for",
+    "experiments.affinity_columns_ms": "experiments.affinity_columns",
+    "parallel.export_ms": "parallel.export",
+    "parallel.payload_build_ms": "parallel.payload_build",
+    "parallel.dispatch_ms": "parallel.dispatch",
+    "parallel.worker_shard_ms": "parallel.worker_shard",
+    "parallel.worker_index_build_ms": "parallel.worker_index_build",
+    "parallel.merge_ms": "parallel.merge",
+    "updates.apply_ms": "updates.apply",
+    "updates.refresh_aprefs_ms": "updates.refresh_aprefs",
+    "updates.refresh_affinities_ms": "updates.refresh_affinities",
+    "updates.retire_ms": "updates.retire",
 }
 
 #: Layers whose calls mostly happen during set-up.
 SETUP_LAYERS = ("cf.", "core.affinities")
-
-
-def _merge(*tables: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
-    merged: dict[str, dict[str, float]] = {}
-    for table in tables:
-        for name, values in table.items():
-            into = merged.setdefault(name, {"total": 0.0, "self": 0.0, "calls": 0})
-            for key in ("total", "self", "calls"):
-                into[key] += values.get(key, 0.0)
-    return merged
 
 
 def _mean_ms(entry: dict[str, float] | None) -> float:
@@ -100,7 +52,7 @@ def _mean_ms(entry: dict[str, float] | None) -> float:
 
 
 def per_layer_metrics(tracer: Tracer, workload_layers: dict[str, float]) -> dict[str, float]:
-    """Every per-layer metric for one traced run (0 where the layer saw no work)."""
+    """The per-layer metrics of one traced run: the tracer's and the workload's."""
     layers = dict(workload_layers)
     window = layers.pop("trace.window")
     phase_spans = tracer.phase_spans
@@ -109,14 +61,12 @@ def per_layer_metrics(tracer: Tracer, workload_layers: dict[str, float]) -> dict
     for name, values in workers.items():
         if not values["calls"]:  # worker-side counters ride in "total"
             counters[name] = counters.get(name, 0.0) + values["total"]
-    phase = _merge(span_totals(phase_spans), {k: v for k, v in workers.items() if v["calls"]})
+    phase = merge_totals(span_totals(phase_spans), {k: v for k, v in workers.items() if v["calls"]})
     setup = span_totals(tracer.setup_spans)
-    with_setup = _merge(phase, setup)
+    with_setup = merge_totals(phase, setup)
 
     metrics: dict[str, float] = {}
-    for name, (_unit, span) in PER_LAYER.items():
-        if span is None:
-            continue
+    for name, span in SPANS.items():
         table = with_setup if name.startswith(SETUP_LAYERS) else phase
         if name in ("cf.fit_s", "core.affinities_s"):
             durations = [s.duration for s in tracer.setup_spans if s.name == span]
@@ -154,4 +104,4 @@ def per_layer_metrics(tracer: Tracer, workload_layers: dict[str, float]) -> dict
     )
     metrics["trace.explained_pct"] = 100.0 * explained_share(phase_spans, *window)
     metrics.update(layers)
-    return {name: float(metrics.get(name, 0.0)) for name in PER_LAYER}
+    return metrics

@@ -96,13 +96,10 @@ def scores_match(expected: Sequence[float], actual: Sequence[float], tol: float 
 # -- open loop ------------------------------------------------------------------------------------
 
 
-def schedule(start: float, rate: float, seconds: float, burst: int = 1) -> list[float]:
-    """Due times for ``rate`` requests per second over ``seconds``.
-
-    Requests arrive ``burst`` at a time, the bursts evenly spaced.
-    """
+def schedule(start: float, rate: float, seconds: float) -> list[float]:
+    """Due times for ``rate`` evenly spaced requests per second over ``seconds``."""
     count = max(1, int(round(rate * seconds)))
-    return [start + (index // burst) * burst / rate for index in range(count)]
+    return [start + index / rate for index in range(count)]
 
 
 @dataclass

@@ -26,10 +26,22 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
-CHILD_TIMEOUT_S = 170
+
+
+def child_timeout(seconds: int) -> float:
+    """Seconds the workload may take: set-up, checks and up to two timed phases.
+
+    The longest run, a traced serve run, times its ladder twice and checks
+    every answer of both serially: about 25 s plus 3.8 s per measured
+    second, 117 s at 24 s.  A traced sweep takes at least 65 s however few
+    the seconds, as each timed phase runs two whole passes.  The timeout
+    stays under 180 s at 24 s, so a hung run is still stopped in time.
+    """
+    return 80.0 + 3.8 * seconds
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -57,6 +69,13 @@ def count_tracker_errors(stderr: str) -> int:
     return count
 
 
+def declared_metrics(trace: bool) -> dict[str, str]:
+    """Name -> unit of the metrics ``BENCHMARK.json`` declares for this kind of run."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    return {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
+
+
 def record_path(args: argparse.Namespace) -> str:
     return os.path.join(OUT_DIR, f"{args.workload}-seed{args.seed}-trace{args.trace}.json")
 
@@ -74,14 +93,17 @@ def parent(args: argparse.Namespace) -> int:
         start_new_session=True,
         env=dict(os.environ, REPRO_SPOOL_DIR=spool),
     )
+    start = time.perf_counter()
+    timeout = child_timeout(args.seconds)
     try:
-        stdout, stderr = child.communicate(timeout=CHILD_TIMEOUT_S)
+        stdout, stderr = child.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         stdout, stderr = child.communicate()
         sys.stderr.write(stderr)
-        print(f"perfbench: workload timed out after {CHILD_TIMEOUT_S}s", file=sys.stderr)
+        print(f"perfbench: workload timed out after {timeout:.0f}s", file=sys.stderr)
         return 3
+    wall = time.perf_counter() - start
     sys.stderr.write(stderr)
     lines = stdout.splitlines()
     try:
@@ -89,6 +111,8 @@ def parent(args: argparse.Namespace) -> int:
     except (IndexError, json.JSONDecodeError):
         sys.stdout.write(stdout)
         return child.returncode or 1
+    record["wall_s"] = wall
+    record["timeout_s"] = timeout
     record["tracker_errors"] = count_tracker_errors(stderr)
     if args.trace:
         for metrics in (record["metrics"], result["metrics"]):
@@ -125,14 +149,14 @@ def child(args: argparse.Namespace) -> int:
     if asyncio.iscoroutine(outcome):
         outcome = asyncio.run(outcome)
 
+    units = declared_metrics(bool(args.trace))
     if tracer is not None:
-        values = layers.per_layer_metrics(tracer, outcome.layers)
-        units = {name: unit for name, (unit, _span) in layers.PER_LAYER.items()}
+        values = dict.fromkeys(units, 0.0)  # a layer the workload never reaches reads 0
+        values.update(layers.per_layer_metrics(tracer, outcome.layers))
         tracer.write(os.path.join(tracer.out_dir, "spans.jsonl"), tracer.phase_spans)
     else:
         values = outcome.metrics
-        units = layers.END_TO_END
-    metrics = {name: {"value": values[name], "unit": units[name]} for name in units}
+    metrics = {name: {"value": float(values[name]), "unit": units[name]} for name in units}
     record = workloads.run_metadata(ROOT, args.workload, args.seed, args.seconds, bool(args.trace))
     record.update(outcome.record)
     record["failures"] = outcome.gate.failures

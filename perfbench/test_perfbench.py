@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import sys
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(ROOT, "src") not in sys.path:
@@ -22,7 +22,8 @@ from perfbench.measure import (  # noqa: E402
     schedule,
     self_times,
 )
-from perfbench.run import count_tracker_errors  # noqa: E402
+from perfbench.run import count_tracker_errors, declared_metrics  # noqa: E402
+from perfbench.trace import Tracer  # noqa: E402
 
 
 def test_highest_supported_percentile_needs_ten_samples_beyond_it():
@@ -125,15 +126,17 @@ def test_tracker_keyerror_tracebacks_are_counted():
     assert count_tracker_errors(stderr) == 2
 
 
-def test_benchmark_json_declares_what_the_runner_prints():
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        spec = json.load(handle)
-    assert set(spec) == {"command", "paths", "run_seconds", "workloads", "end_to_end", "per_layer"}
-    assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == layers.END_TO_END
-    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == {
-        name: unit for name, (unit, _span) in layers.PER_LAYER.items()
-    }
-    assert all(0 < m["bound"] <= 0.25 for m in spec["end_to_end"])
-    setup = next(m for m in spec["end_to_end"] if m["name"] == "setup_s")
-    assert setup["bound"] == max(m["bound"] for m in spec["end_to_end"])
+def test_every_declared_per_layer_metric_has_a_source(tmp_path):
+    tracer = Tracer(str(tmp_path))
+    tracer.end_setup()
+    tracer.begin_phase()
+    tracer.end_phase()
+    sources = set(layers.per_layer_metrics(tracer, {"trace.window": (0.0, 1.0)}))
+    environment = SimpleNamespace(dispatch_reports=[], participants=[1])
+    report = SimpleNamespace(changed_users=(), invalidated_groups=(), full_rebuild=False)
+    sources |= set(workloads._service_layers([], SimpleNamespace(batch_sizes=[]), 0))
+    sources |= set(workloads._report_layers(environment, 0))
+    sources |= set(workloads._delta_layers(report, environment))
+    # Set by each workload's traced-vs-untraced comparison, and by the runner.
+    sources |= {"trace.overhead_pct", "parallel.tracker_errors"}
+    assert set(declared_metrics(trace=True)) <= sources

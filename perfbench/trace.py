@@ -175,16 +175,9 @@ class Tracer:
         return entry
 
     def _flush_worker(self) -> None:
-        spans = self.take()
-        selfs = self_times(spans)
-        for span in spans:
-            entry = self._totals.setdefault(span.name, {"total": 0.0, "self": 0.0, "calls": 0})
-            entry["total"] += span.duration
-            entry["self"] += selfs[span.span_id]
-            entry["calls"] += 1
-        for name, value in self.take_counters().items():
-            entry = self._totals.setdefault(name, {"total": 0.0, "self": 0.0, "calls": 0})
-            entry["total"] += value
+        # Worker-side counters ride in "total" with no calls.
+        counters = {name: {"total": value} for name, value in self.take_counters().items()}
+        self._totals = merge_totals(self._totals, span_totals(self.take()), counters)
         path = os.path.join(self.out_dir, f"worker-{os.getpid()}.json")
         with open(path + ".tmp", "w", encoding="utf-8") as handle:
             json.dump(self._totals, handle)
@@ -192,16 +185,12 @@ class Tracer:
 
     def worker_totals(self) -> dict[str, dict[str, float]]:
         """Per-name totals summed over every worker that flushed."""
-        merged: dict[str, dict[str, float]] = {}
+        tables = []
         for entry in sorted(os.listdir(self.out_dir)):
-            if not (entry.startswith("worker-") and entry.endswith(".json")):
-                continue
-            with open(os.path.join(self.out_dir, entry), encoding="utf-8") as handle:
-                for name, values in json.load(handle).items():
-                    into = merged.setdefault(name, {"total": 0.0, "self": 0.0, "calls": 0})
-                    for key, value in values.items():
-                        into[key] += value
-        return merged
+            if entry.startswith("worker-") and entry.endswith(".json"):
+                with open(os.path.join(self.out_dir, entry), encoding="utf-8") as handle:
+                    tables.append(json.load(handle))
+        return merge_totals(*tables)
 
     def set_worker_flag(self, on: bool) -> None:
         if on:
@@ -316,13 +305,23 @@ def _patch_export(tracer: Tracer, registry_type: type, attr: str) -> None:
 def span_totals(spans: list[Span]) -> dict[str, dict[str, float]]:
     """Per-name total seconds, self seconds and call counts."""
     selfs = self_times(spans)
-    totals: dict[str, dict[str, float]] = {}
-    for span in spans:
-        entry = totals.setdefault(span.name, {"total": 0.0, "self": 0.0, "calls": 0})
-        entry["total"] += span.duration
-        entry["self"] += selfs[span.span_id]
-        entry["calls"] += 1
-    return totals
+    return merge_totals(
+        *(
+            {span.name: {"total": span.duration, "self": selfs[span.span_id], "calls": 1}}
+            for span in spans
+        )
+    )
+
+
+def merge_totals(*tables: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
+    """Per-name totals summed over ``tables`` (a missing key counts as 0)."""
+    merged: dict[str, dict[str, float]] = {}
+    for table in tables:
+        for name, values in table.items():
+            into = merged.setdefault(name, {"total": 0.0, "self": 0.0, "calls": 0})
+            for key in into:
+                into[key] += values.get(key, 0.0)
+    return merged
 
 
 def explained_share(spans: list[Span], start: float, end: float) -> float:
