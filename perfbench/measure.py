@@ -83,6 +83,17 @@ class Gate:
         return self.failed == 0 and self.attempted > 0
 
 
+def best_of(per_pass: Sequence[Sequence[float]]) -> list[float]:
+    """Each run's least time over the passes, each pass's times given in run order.
+
+    On a shared host other tenants only ever add time, so a run's fastest
+    pass is the one they disturbed least.
+    """
+    if len({len(times) for times in per_pass}) > 1:
+        raise ValueError("every pass must time the same runs")
+    return [min(times) for times in zip(*per_pass)]
+
+
 def scores_match(expected: Sequence[float], actual: Sequence[float], tol: float = 1e-9) -> bool:
     """Two top-k score vectors agree, compared in descending order within ``tol``."""
     if len(expected) != len(actual):

@@ -9,6 +9,8 @@ import time
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -17,6 +19,7 @@ from perfbench import layers, workloads  # noqa: E402
 from perfbench.measure import (  # noqa: E402
     Gate,
     Span,
+    best_of,
     highest_supported,
     open_loop,
     schedule,
@@ -32,6 +35,19 @@ def test_highest_supported_percentile_needs_ten_samples_beyond_it():
     assert highest_supported(list(range(1000)))["pct"] == 99.0
     assert highest_supported(list(range(20)))["pct"] == 50.0
     assert highest_supported(list(range(19))) is None
+
+
+def test_best_of_takes_each_runs_least_time_over_the_passes():
+    passes = [[3.0, 1.0, 5.0], [2.0, 4.0, 6.0], [9.0, 1.5, 4.5]]
+    assert best_of(passes) == [2.0, 1.0, 4.5]
+    with pytest.raises(ValueError):
+        best_of([[1.0, 2.0], [1.0]])
+
+
+def test_sweep_pass_count_follows_the_measuring_time_not_the_host():
+    assert workloads.sweep_passes(1) == workloads.SWEEP_MIN_PASSES
+    assert workloads.sweep_passes(24) == 3
+    assert workloads.sweep_passes(60) == 8
 
 
 def test_self_time_subtracts_the_union_of_child_spans():
