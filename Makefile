@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all ci test test-fast test-parallel test-chaos test-service test-epoch test-storage test-kernels test-slow serve-smoke bench bench-engine bench-record bench-record-paper bench-record-shipment bench-record-service bench-record-epoch bench-record-storage bench-record-kernel bench-all golden golden-freshness
+.PHONY: all ci test test-fast test-parallel test-chaos test-service test-epoch test-storage test-kernels test-slow serve-smoke bench perfbench-gate bench-engine bench-record bench-record-paper bench-record-shipment bench-record-service bench-record-epoch bench-record-storage bench-record-kernel bench-all golden golden-freshness
 
 # Default: the fast equivalence suite (golden grid + property/metamorphic
 # tests) plus the perf budget gate, so access-equivalence and performance
@@ -81,6 +81,12 @@ test-slow:
 bench:
 	$(PYTHON) -m repro.experiments.runner --quick
 
+# Correctness gate of the benchmark: one short sweep whose every GRECA answer
+# is checked against the exhaustive NaiveFullScan, outside the timed window.
+# Exits non-zero when any check fails; its timings are advisory.
+perfbench-gate:
+	$(PYTHON) perfbench/run.py --workload sweep --seed 1 --seconds 8
+
 # Engine micro-benchmarks (GRECA end-to-end + sequential_block vs per-entry).
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
@@ -156,4 +162,4 @@ golden-freshness:
 # Everything CI runs, in CI's order — reproduce a red pipeline locally
 # without pushing.  (CI additionally fans test-fast out over Python
 # 3.10/3.11/3.12 and treats the bench budget as advisory on shared runners.)
-ci: test-fast test-parallel test-chaos test-service test-epoch test-storage test-kernels serve-smoke bench golden-freshness
+ci: test-fast test-parallel test-chaos test-service test-epoch test-storage test-kernels serve-smoke bench golden-freshness perfbench-gate

@@ -72,8 +72,8 @@ class RatingPredictor(abc.ABC):
 
         The default delegates to :meth:`predict`, which every subclass keeps
         consistent with :meth:`predict_all`; :class:`UserBasedCF` overrides
-        this with the shared vectorised per-item path so partial apref-cache
-        patching is bit-identical to the full recomputation.
+        this with the batched kernel of its :meth:`predict_all`, so partial
+        apref-cache patching is bit-identical to the full recomputation.
         """
         return {item: self.predict(user_id, item) for item in items}
 
@@ -143,6 +143,10 @@ class UserBasedCF(RatingPredictor):
 
     where the sum ranges over the ``k`` most similar users who rated ``i``.
 
+    :meth:`predict_all` and :meth:`predict_for_items` run one batched kernel
+    (:meth:`_predict_columns`) that is bit-identical to the per-cell path
+    :meth:`predict` takes (:meth:`_raw_prediction`).
+
     Parameters
     ----------
     k_neighbors:
@@ -177,9 +181,26 @@ class UserBasedCF(RatingPredictor):
             self._cosine_state = None
             self._similarity = similarity_matrix(matrix, metric=self.metric, axis="user")
         np.fill_diagonal(self._similarity, 0.0)
+        self._refresh_means(matrix)
+
+    def _refresh_means(self, matrix: RatingMatrix) -> None:
+        """Means, the global mean and the per-item rater index of ``matrix``.
+
+        The rater index is the rated mask in item-major (CSC) form: the
+        raters of column ``c`` are ``_raters[_rater_ptr[c]:_rater_ptr[c + 1]]``
+        in ascending user order, and ``_centred`` holds each of those
+        ratings minus its rater's mean.  Deltas write ratings in place, so
+        :meth:`partial_refit` rebuilds it along with the means.
+        """
+        values = matrix.values
         self._user_means = matrix.user_means()
-        rated = matrix.values[matrix.rated_mask()]
+        rated = values[matrix.rated_mask()]
         self._global_mean = float(rated.mean()) if rated.size else 3.0
+        cols, users = np.nonzero(values.T > 0)
+        counts = np.bincount(cols, minlength=values.shape[1])
+        self._rater_ptr = np.concatenate(([0], np.cumsum(counts)))
+        self._raters = users
+        self._centred = values[users, cols] - self._user_means[users]
 
     def partial_refit(self, touched_users) -> None:
         """Refresh after in-place row updates, reusing untouched cosine rows.
@@ -197,9 +218,7 @@ class UserBasedCF(RatingPredictor):
         state.refresh_rows(matrix.user_position(user) for user in touched_users)
         self._similarity = state.similarity()
         np.fill_diagonal(self._similarity, 0.0)
-        self._user_means = matrix.user_means()
-        rated = matrix.values[matrix.rated_mask()]
-        self._global_mean = float(rated.mean()) if rated.size else 3.0
+        self._refresh_means(matrix)
 
     def stale_prediction_items(self, touched_users) -> tuple[int, ...]:
         """Items whose predictions may differ for users *not* in ``touched_users``.
@@ -231,61 +250,33 @@ class UserBasedCF(RatingPredictor):
         }
 
     def predict(self, user_id: int, item_id: int) -> float:
+        """One cell through the per-cell path, clipped like :meth:`predict_all`."""
         matrix = self.matrix
-        observed = matrix.rating(user_id, item_id)
-        if observed > 0:
-            return observed
-
         row = matrix.user_position(user_id)
         col = matrix.item_position(item_id)
-        raters = np.flatnonzero(matrix.values[:, col] > 0)
-        if raters.size == 0:
-            baseline = self._user_means[row] if self._user_means[row] > 0 else self._global_mean
-            return self._clip(baseline)
+        similarities, baseline = self._prediction_inputs(row)
+        raw = self._raw_prediction(row, col, similarities, baseline)
+        return float(np.clip(raw, MIN_RATING, MAX_RATING))
 
-        similarities = self._similarity[row, raters]
-        keep = similarities > self.min_similarity
-        raters = raters[keep]
-        similarities = similarities[keep]
-        if raters.size == 0:
-            baseline = self._user_means[row] if self._user_means[row] > 0 else self._global_mean
-            return self._clip(baseline)
-
-        if self.k_neighbors is not None and raters.size > self.k_neighbors:
-            order = np.argsort(-similarities)[: self.k_neighbors]
-            raters = raters[order]
-            similarities = similarities[order]
-
-        neighbour_ratings = matrix.values[raters, col]
-        neighbour_means = self._user_means[raters]
-        numerator = float(np.sum(similarities * (neighbour_ratings - neighbour_means)))
-        denominator = float(np.sum(np.abs(similarities)))
-        baseline = self._user_means[row] if self._user_means[row] > 0 else self._global_mean
-        if denominator == 0:
-            return self._clip(baseline)
-        return self._clip(baseline + numerator / denominator)
-
-    def _prediction_inputs(self, user_id: int):
-        """Per-user state shared by :meth:`predict_all` and :meth:`predict_for_items`."""
-        matrix = self.matrix
-        row = matrix.user_position(user_id)
-        values = matrix.values
+    def _prediction_inputs(self, row: int) -> tuple[np.ndarray, float]:
+        """One user's similarity row after the ``min_similarity`` cut, and baseline."""
         baseline = self._user_means[row] if self._user_means[row] > 0 else self._global_mean
         similarities = self._similarity[row].copy()
         similarities[similarities <= self.min_similarity] = 0.0
-        return matrix, row, values, baseline, similarities
+        return similarities, baseline
 
-    def _raw_prediction(self, row, col, values, rated_mask, similarities, baseline) -> float:
-        """Unclipped prediction for one cell — the single per-item code path.
+    def _raw_prediction(self, row, col, similarities, baseline) -> float:
+        """Unclipped prediction for one cell: the per-cell reference path.
 
-        Both the full sweep and the item-subset patcher call this, which is
-        what makes partial apref-cache refreshes bit-identical to a full
-        recomputation (same argsort, same summation order, same fallbacks).
+        The batched kernel (:meth:`_predict_columns`) reproduces exactly this
+        arithmetic — same neighbours, same summation order — and falls back
+        to it for the cells whose neighbour order argsort does not fix.
         """
+        values = self.matrix.values
         observed = values[row, col]
         if observed > 0:
             return float(observed)
-        raters = np.flatnonzero(rated_mask[:, col])
+        raters = self._raters[self._rater_ptr[col] : self._rater_ptr[col + 1]]
         sims = similarities[raters]
         keep = sims > 0
         raters = raters[keep]
@@ -302,31 +293,99 @@ class UserBasedCF(RatingPredictor):
             return float(baseline) + float(np.sum(sims * centred)) / denominator
         return float(baseline)
 
+    def _predict_columns(self, row: int, cols: np.ndarray) -> np.ndarray:
+        """Clipped predictions of one user for the item columns ``cols``.
+
+        Bit-identical to :meth:`_raw_prediction` per cell.  A cell's
+        neighbours are its raters with a positive (cut) similarity: all of
+        them in ascending user order when there are at most ``k_neighbors``,
+        else the ``k_neighbors`` most similar in descending-similarity order —
+        the orders the per-cell path sums in.  Cells with ``n`` neighbours
+        are gathered into one C-contiguous ``(cells, n)`` block, and
+        ``np.sum(block, axis=1)`` reduces each row with the same pairwise
+        routine as the per-cell 1-D ``np.sum``.  When two positive
+        similarities tie, argsort's order among them is not fixed by value,
+        so that user's cells with more than ``k_neighbors`` neighbours go
+        through the per-cell path instead.
+        """
+        similarities, baseline = self._prediction_inputs(row)
+        observed = self.matrix.values[row, cols]
+        raw = np.where(observed > 0, observed, float(baseline))
+
+        # The requested columns' rater entries, concatenated column by column.
+        starts = self._rater_ptr[cols]
+        lengths = self._rater_ptr[cols + 1] - starts
+        entries = _concatenated_ranges(starts, lengths)
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        raters = self._raters[entries]
+        sims = similarities[raters]
+        keep = sims > 0
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        counts = kept[bounds[1:]] - kept[bounds[:-1]]
+        first = kept[bounds[:-1]]
+        raters = raters[keep]
+        sims = sims[keep]
+        centred = self._centred[entries[keep]]
+
+        open_cells = (observed <= 0) & (counts > 0)
+        k = self.k_neighbors
+        many = open_cells & (counts > k) if k is not None else np.zeros_like(open_cells)
+        few = np.flatnonzero(open_cells & ~many)
+        few = few[np.argsort(counts[few], kind="stable")]
+        splits = np.flatnonzero(np.diff(counts[few])) + 1
+        for cells in np.split(few, splits) if few.size else ():
+            positions = first[cells][:, None] + np.arange(counts[cells[0]])
+            raw[cells] = _weighted_offsets(sims[positions], centred[positions], baseline)
+
+        many = np.flatnonzero(many)
+        if many.size:
+            positive = np.sort(similarities[similarities > 0])
+            if np.any(positive[1:] == positive[:-1]):
+                for cell in many:
+                    raw[cell] = self._raw_prediction(row, int(cols[cell]), similarities, baseline)
+            else:
+                rank = np.empty(similarities.size, dtype=np.int64)
+                rank[np.argsort(-similarities, kind="stable")] = np.arange(similarities.size)
+                # Each cell's neighbours, most similar first; keep the first k.
+                sizes = counts[many]
+                spans = _concatenated_ranges(first[many], sizes)
+                owner = np.repeat(np.arange(many.size), sizes)
+                spans = spans[np.argsort(owner * similarities.size + rank[raters[spans]])]
+                positions = spans[(np.cumsum(sizes) - sizes)[:, None] + np.arange(k)]
+                raw[many] = _weighted_offsets(sims[positions], centred[positions], baseline)
+        return np.clip(raw, MIN_RATING, MAX_RATING)
+
     def predict_all(self, user_id: int) -> dict[int, float]:
-        """Vectorised prediction of every item for one user."""
-        matrix, row, values, baseline, similarities = self._prediction_inputs(user_id)
-        n_items = values.shape[1]
-        rated_mask = values > 0
-        predictions = np.full(n_items, baseline)
-        for col in range(n_items):
-            predictions[col] = self._raw_prediction(
-                row, col, values, rated_mask, similarities, baseline
-            )
-        predictions = np.clip(predictions, MIN_RATING, MAX_RATING)
-        return {item: float(predictions[index]) for index, item in enumerate(matrix.items)}
+        """Batched exact prediction of every item for one user."""
+        matrix = self.matrix
+        row = matrix.user_position(user_id)
+        predictions = self._predict_columns(row, np.arange(len(matrix.items)))
+        return dict(zip(matrix.items, predictions.tolist()))
 
     def predict_for_items(self, user_id: int, items) -> dict[int, float]:
         """Predictions for a subset of items, bit-identical to the same
-        entries of :meth:`predict_all` (shared per-item path; the scalar clip
-        equals the vector clip elementwise)."""
-        matrix, row, values, baseline, similarities = self._prediction_inputs(user_id)
-        rated_mask = values > 0
-        predictions = {}
-        for item in items:
-            col = matrix.item_position(item)
-            raw = self._raw_prediction(row, col, values, rated_mask, similarities, baseline)
-            predictions[item] = float(np.clip(raw, MIN_RATING, MAX_RATING))
-        return predictions
+        entries of :meth:`predict_all` (the same kernel on those columns)."""
+        matrix = self.matrix
+        items = list(items)
+        row = matrix.user_position(user_id)
+        cols = np.asarray([matrix.item_position(item) for item in items], dtype=np.intp)
+        return dict(zip(items, self._predict_columns(row, cols).tolist()))
+
+
+def _concatenated_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``range(start, start + length)`` for every pair, concatenated in order."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+
+def _weighted_offsets(sims: np.ndarray, centred: np.ndarray, baseline) -> np.ndarray:
+    """``baseline + sum(sims * centred) / sum(|sims|)`` per row of a neighbour block."""
+    numerator = np.sum(sims * centred, axis=1)
+    denominator = np.sum(np.abs(sims), axis=1)
+    result = np.full(len(sims), float(baseline))
+    positive = denominator > 0
+    result[positive] = float(baseline) + numerator[positive] / denominator[positive]
+    return result
 
 
 class ItemBasedCF(RatingPredictor):

@@ -5,16 +5,18 @@ lower- and upper-bound consensus scores.  GRECA's novel termination condition
 is expressed purely in terms of the buffer: it can stop as soon as the buffer
 holds at least ``k`` items and the ``k``-th largest lower bound is no smaller
 than the upper bound of every other buffered item (and, to also rule out
-items never encountered, no smaller than the global threshold).
+items never encountered, no smaller than the global threshold).  The test
+itself lives in :meth:`repro.core.greca.Greca._check_stop`.
 
 Storage is *columnar*: :class:`ColumnarCandidateBuffer` keeps one contiguous
 float64 array per bound plus an item registry, so bulk refreshes are single
-array assignments and the ranking queries (``k``-th lower bound, buffer
-condition, top-k) run as vectorised selections — ``np.argpartition`` for the
-``k``-th order statistic, ``np.lexsort`` with a cached ``repr`` tie-break
-ranking when the full deterministic order is needed.  :class:`CandidateBuffer`
-remains as a thin compatibility façade with the original per-item dict-style
-API, delegating all storage and queries to the columnar buffer.
+array assignments and the ranking queries run as vectorised selections.
+:func:`select_top_k` is the one top-k selection: GRECA's stopping check and
+the buffer's :meth:`~ColumnarCandidateBuffer.top_k` both call it, so the
+items the stop test protects are exactly the items the answer returns.
+:class:`CandidateBuffer` remains as a thin compatibility façade with the
+original per-item dict-style API, delegating all storage and queries to the
+columnar buffer.
 """
 
 from __future__ import annotations
@@ -28,6 +30,25 @@ from repro.core.lists import repr_tie_break_ranks
 from repro.exceptions import AlgorithmError
 
 _TOLERANCE = 1e-9
+
+
+def select_top_k(lower: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best entries of ``lower``, best first.
+
+    Entries rank by decreasing lower bound, and equal lower bounds rank by
+    ``ranks`` (the ``repr`` tie-break ranking of their items) — the
+    reproduction's one ordering of candidates.  ``np.partition`` finds the
+    ``k``-th value in linear time and every entry tied with it is kept, so
+    the final ``np.lexsort`` sorts only about ``k`` entries.  Fewer than
+    ``k`` entries come back when there are fewer than ``k``.
+    """
+    if lower.size > k:
+        kth = np.partition(lower, lower.size - k)[lower.size - k]
+        candidates = np.flatnonzero(lower >= kth)
+    else:
+        candidates = np.arange(lower.size)
+    order = np.lexsort((ranks[candidates], -lower[candidates]))
+    return candidates[order[:k]]
 
 
 def _validate_bounds(item: Hashable, lower: float, upper: float) -> None:
@@ -195,47 +216,11 @@ class ColumnarCandidateBuffer:
         if k <= 0:
             raise AlgorithmError("k must be positive")
         slots = self._active_slots()
-        if slots.size > k:
-            # Preselect ~k candidates with argpartition, keeping every tie of
-            # the k-th value so the deterministic repr tie-break stays exact.
-            kth = -np.partition(-self._lower[slots], k - 1)[k - 1]
-            slots = slots[self._lower[slots] >= kth]
-        order = np.lexsort((self._ranks()[slots], -self._lower[slots]))
+        slots = slots[select_top_k(self._lower[slots], self._ranks()[slots], k)]
         return [
             BufferedItem(self._items[slot], float(self._lower[slot]), float(self._upper[slot]))
-            for slot in slots[order][:k]
+            for slot in slots
         ]
-
-    def kth_lower_bound(self, k: int) -> float | None:
-        """Lower bound of the ``k``-th ranked item (``None`` if fewer than ``k`` items)."""
-        slots = self._active_slots()
-        if slots.size < k:
-            return None
-        return float(-np.partition(-self._lower[slots], k - 1)[k - 1])
-
-    def satisfies_buffer_condition(self, k: int, tolerance: float = _TOLERANCE) -> bool:
-        """GRECA's buffer termination test.
-
-        ``True`` when the buffer holds at least ``k`` items and the ``k``-th
-        largest lower bound is no smaller than the upper bound of every item
-        outside that top-k set.  With exactly ``k`` items the condition is
-        vacuously satisfied (there is nothing left to prune).
-        """
-        ordered = self._ordered_slots()
-        if ordered.size < k:
-            return False
-        kth_lower = float(self._lower[ordered[k - 1]])
-        rest = ordered[k:]
-        if rest.size == 0:
-            return True
-        return bool(self._upper[rest].max() <= kth_lower + tolerance)
-
-    def max_upper_bound_outside_top_k(self, k: int) -> float | None:
-        """Largest upper bound among items not in the current top-k (``None`` if none)."""
-        ordered = self._ordered_slots()
-        if ordered.size <= k:
-            return None
-        return float(self._upper[ordered[k:]].max())
 
 
 class CandidateBuffer:
@@ -286,15 +271,3 @@ class CandidateBuffer:
     def top_k(self, k: int) -> list[BufferedItem]:
         """The ``k`` buffered items with the highest lower bounds."""
         return self._columnar.top_k(k)
-
-    def kth_lower_bound(self, k: int) -> float | None:
-        """Lower bound of the ``k``-th ranked item (``None`` if fewer than ``k`` items)."""
-        return self._columnar.kth_lower_bound(k)
-
-    def satisfies_buffer_condition(self, k: int, tolerance: float = _TOLERANCE) -> bool:
-        """GRECA's buffer termination test (see :class:`ColumnarCandidateBuffer`)."""
-        return self._columnar.satisfies_buffer_condition(k, tolerance)
-
-    def max_upper_bound_outside_top_k(self, k: int) -> float | None:
-        """Largest upper bound among items not in the current top-k (``None`` if none)."""
-        return self._columnar.max_upper_bound_outside_top_k(k)

@@ -44,8 +44,10 @@ than a per-entry interpreter loop:
   the pairs whose lists moved since the previous check.
 * The candidate buffer is the numpy-backed
   :class:`repro.core.buffer.ColumnarCandidateBuffer`; the stopping decision
-  itself works directly on the bound arrays, and the final ranking uses the
-  buffer's vectorised top-k with the deterministic ``repr`` tie-break.
+  itself works directly on the bound arrays.  Both it and the final ranking
+  pick the top k with :func:`repro.core.buffer.select_top_k` (decreasing
+  lower bound, ties by ``repr``), so the stop test protects exactly the
+  items the answer returns.
 * The terminal exact rescore touches only the returned top-k items
   (:meth:`GrecaIndex.exact_scores_for`) instead of re-scoring the full
   catalogue, which would otherwise cost the O(n·m) work GRECA just avoided.
@@ -70,7 +72,7 @@ from repro.core.affinity import (
     combine_discrete_batch,
 )
 from repro.core.bounds import PairwiseAffinityBounds
-from repro.core.buffer import ColumnarCandidateBuffer
+from repro.core.buffer import ColumnarCandidateBuffer, select_top_k
 from repro.core.consensus import ConsensusFunction
 from repro.core.kernels import make_round_state, resolve_kernel
 from repro.core.lists import (
@@ -97,6 +99,91 @@ STOP_BUFFER = "buffer"
 STOP_EXHAUSTED = "exhausted"
 
 
+def check_nonnegative(members: Sequence[int], items: Sequence[int], matrix: np.ndarray) -> None:
+    """Reject a negative absolute preference, naming the first member's lowest one."""
+    if matrix.size and matrix.min() < 0:
+        row = int(np.flatnonzero(matrix.min(axis=1) < 0)[0])
+        col = int(matrix[row].argmin())
+        raise AlgorithmError(
+            f"negative absolute preference for user {members[row]}, item {items[col]}"
+        )
+
+
+class ItemCatalogue:
+    """One candidate item universe and the lookup state every index over it shares.
+
+    The item tuple, the ``{item: column}`` map, the item-object array that
+    list keys are gathered from, the ``repr`` tie-break ranking and the pool
+    of candidate buffers depend on the items alone.  So every index and
+    factory over one universe holds one catalogue rather than its own
+    copies, and :meth:`restrict` memoises the sub-catalogues that recur
+    across groups (a sweep's ``n_items`` prefixes).
+
+    ``repr_rank`` may be any ranking with the ``repr`` order of ``items``
+    (a sub-catalogue slices its parent's), since it is only ever a sort key.
+    """
+
+    def __init__(
+        self,
+        items: Sequence[int],
+        repr_rank: np.ndarray | None = None,
+        item_objects: np.ndarray | None = None,
+    ) -> None:
+        self.items: tuple[int, ...] = tuple(items)
+        self.item_col: dict[int, int] = {item: col for col, item in enumerate(self.items)}
+        self.repr_rank = (
+            repr_tie_break_ranks(self.items) if repr_rank is None else np.asarray(repr_rank)
+        )
+        if item_objects is None:
+            item_objects = np.empty(len(self.items), dtype=object)
+            item_objects[:] = self.items
+        self.item_objects = item_objects
+        # Candidate buffers are scoped to the item universe and fully
+        # overwritten by replace_bounds, so every run over this catalogue
+        # draws from one pool.  list.pop/append are atomic under the GIL.
+        self.buffer_pool: list[ColumnarCandidateBuffer] = []
+        self._restricted: dict[tuple[int, ...], tuple[ItemCatalogue, np.ndarray]] = {}
+
+    def __reduce__(self):
+        # Ship the items and their ranking only; the receiver rebuilds the
+        # lookups and starts with an empty pool and memo.
+        return ItemCatalogue, (self.items, self.repr_rank)
+
+    def restrict(self, items: Sequence[int]) -> tuple["ItemCatalogue", np.ndarray]:
+        """The catalogue over sorted, de-duplicated ``items``, and their columns here.
+
+        Memoised, so every index restricted to the same items shares one
+        sub-catalogue.  Slicing the ``repr`` ranking keeps the relative order
+        of the kept items, so the sub-catalogue breaks ties exactly as a
+        fresh ranking of the subset would.
+        """
+        requested = tuple(sorted(set(items)))
+        entry = self._restricted.get(requested)
+        if entry is None:
+            if not requested:
+                raise AlgorithmError("the restricted item universe is empty")
+            try:
+                cols = np.asarray([self.item_col[item] for item in requested], dtype=np.intp)
+            except KeyError as error:
+                raise AlgorithmError(
+                    f"unknown item in restriction: {error.args[0]!r}"
+                ) from None
+            entry = (ItemCatalogue(requested, self.repr_rank[cols], self.item_objects[cols]), cols)
+            self._restricted[requested] = entry
+        return entry
+
+    def acquire_buffer(self) -> ColumnarCandidateBuffer:
+        """A pooled candidate buffer over these items (fresh when the pool is empty)."""
+        try:
+            return self.buffer_pool.pop()
+        except IndexError:
+            return ColumnarCandidateBuffer(self.items, repr_rank=self.repr_rank)
+
+    def release_buffer(self, buffer: ColumnarCandidateBuffer) -> None:
+        """Return a buffer to the pool once its top-k has been materialised."""
+        self.buffer_pool.append(buffer)
+
+
 class GrecaIndex:
     """Pre-computed preference and affinity lists for one group and period.
 
@@ -110,7 +197,7 @@ class GrecaIndex:
     float64 matrix — which is what both the exact scorers and the batched
     engine consume; the sorted lists are materialised from matrix rows via a
     single vectorised argsort per member (sharing one ``repr`` tie-break
-    ranking across members).
+    ranking across members, held by the index's :class:`ItemCatalogue`).
 
     Parameters
     ----------
@@ -163,50 +250,32 @@ class GrecaIndex:
         item_universe: set[int] = set()
         for member in members:
             item_universe.update(aprefs[member])
-        self.items: tuple[int, ...] = tuple(sorted(item_universe))
-        if not self.items:
+        items = tuple(sorted(item_universe))
+        if not items:
             raise AlgorithmError("the preference lists contain no items")
 
-        matrix = np.empty((len(members), len(self.items)))
+        matrix = np.empty((len(members), len(items)))
         for row, member in enumerate(members):
             prefs = aprefs[member]
-            matrix[row] = [float(prefs.get(item, 0.0)) for item in self.items]
-            if matrix[row].min() < 0:
-                col = int(matrix[row].argmin())
-                raise AlgorithmError(
-                    f"negative absolute preference for user {member}, item {self.items[col]}"
-                )
-        self._install_columns(self.members, self.items, matrix, time_model, max_apref)
+            matrix[row] = [float(prefs.get(item, 0.0)) for item in items]
+        check_nonnegative(self.members, items, matrix)
+        self._install_columns(self.members, ItemCatalogue(items), matrix, time_model, max_apref)
         self._install_affinities(static, periodic, averages)
 
     def _install_columns(
         self,
         members: tuple[int, ...],
-        items: tuple[int, ...],
+        catalogue: ItemCatalogue,
         matrix: np.ndarray,
         time_model: str,
         max_apref: float | None,
-        item_col: dict[int, int] | None = None,
-        repr_rank: np.ndarray | None = None,
-        item_objects: np.ndarray | None = None,
-        buffer_pool: list[ColumnarCandidateBuffer] | None = None,
     ) -> None:
-        """Install the columnar substrate (optionally shared with a sibling index)."""
+        """Install the columnar substrate (matrix and catalogue shared, not copied)."""
         self.members = members
-        self.items = items
+        self.catalogue = catalogue
+        self.items: tuple[int, ...] = catalogue.items
         self.time_model = time_model
         self._apref_matrix = matrix
-        self._item_col: dict[int, int] = (
-            item_col if item_col is not None else {item: col for col, item in enumerate(items)}
-        )
-        self._repr_rank = repr_rank
-        self._item_objects = item_objects
-        # Candidate buffers are item-universe-scoped and fully overwritten by
-        # replace_bounds, so siblings over the same substrate share one pool
-        # instead of paying the O(items) slot registration per Greca.run.
-        self._buffer_pool: list[ColumnarCandidateBuffer] = (
-            buffer_pool if buffer_pool is not None else []
-        )
         if max_apref is not None:
             self.max_apref = float(max_apref)
         else:
@@ -237,39 +306,24 @@ class GrecaIndex:
     def _from_columns(
         cls,
         members: tuple[int, ...],
-        items: tuple[int, ...],
+        catalogue: ItemCatalogue,
         matrix: np.ndarray,
         static: Mapping[tuple[int, int], float],
         periodic: Mapping[int, Mapping[tuple[int, int], float]] | None,
         averages: Mapping[int, float] | None,
         time_model: str,
         max_apref: float | None,
-        item_col: dict[int, int] | None = None,
-        repr_rank: np.ndarray | None = None,
-        item_objects: np.ndarray | None = None,
-        buffer_pool: list[ColumnarCandidateBuffer] | None = None,
     ) -> "GrecaIndex":
         """Build an index directly from an existing columnar substrate.
 
-        The matrix (and the optional tie-break ranking / item-object /
-        candidate-buffer caches) are *shared*, not copied: the index never
-        mutates the read-only ones, and pooled buffers are wholesale
-        overwritten before every use.
+        The matrix and the catalogue are *shared*, not copied: the index
+        never mutates them, and pooled buffers are wholesale overwritten
+        before every use.
         """
         if time_model not in (TIME_MODEL_DISCRETE, TIME_MODEL_CONTINUOUS):
             raise AlgorithmError(f"unknown time model {time_model!r}")
         instance = cls.__new__(cls)
-        instance._install_columns(
-            members,
-            items,
-            matrix,
-            time_model,
-            max_apref,
-            item_col,
-            repr_rank,
-            item_objects,
-            buffer_pool,
-        )
+        instance._install_columns(members, catalogue, matrix, time_model, max_apref)
         instance._install_affinities(static, periodic, averages)
         return instance
 
@@ -289,49 +343,38 @@ class GrecaIndex:
         """
         return GrecaIndex._from_columns(
             self.members,
-            self.items,
+            self.catalogue,
             self._apref_matrix,
             static,
             periodic,
             averages,
             self.time_model if time_model is None else time_model,
             self.max_apref,
-            item_col=self._item_col,
-            repr_rank=self._tie_break_ranking(),
-            item_objects=self._item_object_array(),
-            buffer_pool=self._buffer_pool,
         )
 
     def restrict_items(self, items: Sequence[int]) -> "GrecaIndex":
         """A sibling index over a subset of the candidate items.
 
-        The preference matrix is column-sliced and the global ``repr``
-        tie-break ranking is sliced alongside it (a restriction of a ranking
-        induces the same relative order, so list construction and the
-        candidate buffer behave exactly as if the ranking had been recomputed
-        for the subset).  The parent's ``max_apref``/``scale`` are kept:
-        construct the parent with an explicit ``max_apref`` (as the
-        recommender does) when bit-identical equivalence with fresh
-        per-subset construction is required.
+        The preference matrix is column-sliced, and the sub-catalogue comes
+        from :meth:`ItemCatalogue.restrict`, so every index restricted to the
+        same items shares it (its sliced ``repr`` ranking keeps the subset's
+        relative order, so list construction and the candidate buffer behave
+        exactly as if the ranking had been recomputed).  The
+        parent's ``max_apref``/``scale`` are kept: construct the parent with
+        an explicit ``max_apref`` (as the recommender does) when
+        bit-identical equivalence with fresh per-subset construction is
+        required.
         """
-        requested = sorted(set(items))
-        if not requested:
-            raise AlgorithmError("the restricted item universe is empty")
-        try:
-            cols = np.asarray([self._item_col[item] for item in requested], dtype=np.intp)
-        except KeyError as error:
-            raise AlgorithmError(f"unknown item in restriction: {error.args[0]!r}") from None
+        catalogue, cols = self.catalogue.restrict(items)
         return GrecaIndex._from_columns(
             self.members,
-            tuple(requested),
+            catalogue,
             self._apref_matrix[:, cols],
             self._static,
             self._periodic,
             self._averages,
             self.time_model,
             self.max_apref,
-            repr_rank=self._tie_break_ranking()[cols],
-            item_objects=self._item_object_array()[cols],
         )
 
     @classmethod
@@ -463,41 +506,13 @@ class GrecaIndex:
         """
         if not items:
             return {}
-        cols = np.asarray([self._item_col[item] for item in items], dtype=np.intp)
+        item_col = self.catalogue.item_col
+        cols = np.asarray([item_col[item] for item in items], dtype=np.intp)
         prefs = preference_matrix(self._apref_matrix[:, cols], self.affinity_matrix())
         scores = consensus_scores(consensus, prefs, self.scale)
         return {item: float(scores[position]) for position, item in enumerate(items)}
 
     # -- list construction ------------------------------------------------------------------
-
-    def _tie_break_ranking(self) -> np.ndarray:
-        """Rank of every item column under the ``repr`` ordering (cached)."""
-        if self._repr_rank is None:
-            self._repr_rank = repr_tie_break_ranks(self.items)
-        return self._repr_rank
-
-    def _item_object_array(self) -> np.ndarray:
-        if self._item_objects is None:
-            objects = np.empty(len(self.items), dtype=object)
-            objects[:] = self.items
-            self._item_objects = objects
-        return self._item_objects
-
-    def _acquire_buffer(self) -> ColumnarCandidateBuffer:
-        """A candidate buffer over this item universe, pooled across runs.
-
-        ``list.pop``/``append`` are atomic under the GIL, so concurrent
-        callers either share pooled buffers safely or fall back to a fresh
-        allocation — never to a buffer another run is still ranking.
-        """
-        try:
-            return self._buffer_pool.pop()
-        except IndexError:
-            return ColumnarCandidateBuffer(self.items, repr_rank=self._tie_break_ranking())
-
-    def _release_buffer(self, buffer: ColumnarCandidateBuffer) -> None:
-        """Return a buffer to the pool once its top-k has been materialised."""
-        self._buffer_pool.append(buffer)
 
     def build_lists(
         self, counter: AccessCounter
@@ -514,8 +529,8 @@ class GrecaIndex:
         ``key_index`` so block reads can be scattered straight into item
         columns.
         """
-        repr_rank = self._tie_break_ranking()
-        item_objects = self._item_object_array()
+        repr_rank = self.catalogue.repr_rank
+        item_objects = self.catalogue.item_objects
         preference_lists = []
         for row, member in enumerate(self.members):
             scores = self._apref_matrix[row]
@@ -587,44 +602,43 @@ class GrecaIndexFactory:
         self._base = GrecaIndex(
             members=members, aprefs=aprefs, static={}, max_apref=max_apref
         )
-        # Materialise the shared caches once so every derived index reuses them.
-        self._base._tie_break_ranking()
-        self._base._item_object_array()
         self._restricted: dict[tuple[int, ...], GrecaIndex] = {}
 
     @classmethod
     def from_columns(
         cls,
         members: Sequence[int],
-        items: Sequence[int],
+        items: Sequence[int] | ItemCatalogue,
         matrix: np.ndarray,
         max_apref: float,
         repr_rank: np.ndarray | None = None,
     ) -> "GrecaIndexFactory":
-        """Rebuild a factory around an existing columnar substrate.
+        """Build a factory around an existing columnar substrate.
 
-        This is the zero-copy receiving end of the shared-memory shipment
-        path (:mod:`repro.parallel.shm`): ``matrix`` (and the optional
-        tie-break ranking) are *shared*, never copied, and ``max_apref``
-        must be the sending factory's resolved value so derived indexes keep
-        the identical normalisation constant.  Bit-identical to pickling the
-        original factory by construction: the matrix bytes, tie-break
-        ranking and scale are exactly the sender's.
+        ``matrix`` holds one row per member over ``items``.  ``items`` is
+        either the item ids (with an optional ``repr`` ranking) or an
+        :class:`ItemCatalogue` that the factory then shares with every other
+        holder — the recommender passes its catalogue, so its factories hold
+        only their matrices.  This is also the zero-copy receiving end of the
+        shared-memory shipment path (:mod:`repro.parallel.shm`): the arrays
+        are *shared*, never copied, and ``max_apref`` must be the sending
+        factory's resolved value so derived indexes keep the identical
+        normalisation constant.  Bit-identical to pickling the original
+        factory by construction: the matrix bytes, tie-break ranking and
+        scale are exactly the sender's.
         """
+        catalogue = items if isinstance(items, ItemCatalogue) else ItemCatalogue(items, repr_rank)
         factory = cls.__new__(cls)
         factory._base = GrecaIndex._from_columns(
             tuple(members),
-            tuple(items),
+            catalogue,
             matrix,
             {},
             None,
             None,
             TIME_MODEL_DISCRETE,
             float(max_apref),
-            repr_rank=None if repr_rank is None else np.asarray(repr_rank),
         )
-        factory._base._tie_break_ranking()
-        factory._base._item_object_array()
         factory._restricted = {}
         return factory
 
@@ -637,7 +651,7 @@ class GrecaIndexFactory:
         factory on the far side of a process boundary.
         """
         base = self._base
-        return base.members, base.items, base._apref_matrix, base._tie_break_ranking(), base.max_apref
+        return base.members, base.items, base._apref_matrix, base.catalogue.repr_rank, base.max_apref
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -725,6 +739,11 @@ class GrecaResult:
 
 class Greca:
     """The GRECA top-k algorithm (batched columnar execution).
+
+    A top-k answer is defined by its multiset of exact scores.  Which of the
+    items tied on exact score at rank ``k`` are returned is not: GRECA ranks
+    candidates by lower bound with ties broken by ``repr`` of the item id,
+    while the baselines rank exact scores with ties broken by numeric id.
 
     Parameters
     ----------
@@ -819,7 +838,9 @@ class Greca:
             )
             threshold = float(threshold_arr[0])
 
-            decision = self._check_stop(lower, upper, threshold, state.buffered, k, exhausted)
+            decision = self._check_stop(
+                lower, upper, threshold, state.buffered, k, exhausted, index.catalogue.repr_rank
+            )
             if decision is not None:
                 stopping = decision
                 finished = True
@@ -827,12 +848,13 @@ class Greca:
                 stopping = STOP_EXHAUSTED
                 finished = True
 
-        buffer = index._acquire_buffer()
+        catalogue = index.catalogue
+        buffer = catalogue.acquire_buffer()
         try:
             buffer.replace_bounds(lower, upper, state.buffered)
             top = buffer.top_k(k) if state.buffered.any() else []
         finally:
-            index._release_buffer(buffer)
+            catalogue.release_buffer(buffer)
         top_items = tuple(entry.item for entry in top)
         exact = index.exact_scores_for(top_items, self.consensus)
         return GrecaResult(
@@ -896,27 +918,39 @@ class Greca:
         buffered: np.ndarray,
         k: int,
         exhausted: bool,
+        repr_rank: np.ndarray,
         tolerance: float = 1e-9,
     ) -> str | None:
-        """Evaluate GRECA's stopping conditions; return the reason or ``None``."""
+        """Evaluate GRECA's stopping conditions; return the reason or ``None``.
+
+        The top k come from :func:`~repro.core.buffer.select_top_k`, the same
+        selection the answer is read with, so when lower bounds tie across
+        rank ``k`` the buffer condition tests the upper bound of every item
+        the answer leaves out.
+        """
         buffered_indices = np.flatnonzero(buffered)
         if buffered_indices.size < k:
             return None
 
         buffered_lower = lower[buffered_indices]
-        order = np.argsort(-buffered_lower)
-        kth_lower = float(buffered_lower[order[k - 1]])
+        top = select_top_k(buffered_lower, repr_rank[buffered_indices], k)
+        kth_lower = float(buffered_lower[top[-1]])
 
         # Threshold condition: no unseen item can beat the k-th lower bound.
-        any_unseen = bool((~buffered).any())
+        any_unseen = buffered_indices.size < buffered.size
         threshold_ok = (not any_unseen) or threshold <= kth_lower + tolerance
 
         # Buffer condition: no other buffered item can beat the k-th lower bound.
-        rest = buffered_indices[order[k:]]
-        buffer_ok = rest.size == 0 or float(upper[rest].max()) <= kth_lower + tolerance
+        any_rest = buffered_indices.size > k
+        if any_rest:
+            rest_upper = upper[buffered_indices]
+            rest_upper[top] = -np.inf
+            buffer_ok = float(rest_upper.max()) <= kth_lower + tolerance
+        else:
+            buffer_ok = True
 
         if threshold_ok and buffer_ok:
             if exhausted:
                 return STOP_EXHAUSTED
-            return STOP_BUFFER if rest.size > 0 else STOP_THRESHOLD
+            return STOP_BUFFER if any_rest else STOP_THRESHOLD
         return None

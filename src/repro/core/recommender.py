@@ -19,7 +19,10 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.cf.predictors import RatingPredictor, UserBasedCF
 from repro.core.affinity import (
@@ -36,8 +39,10 @@ from repro.core.greca import (
     Greca,
     GrecaIndex,
     GrecaIndexFactory,
+    ItemCatalogue,
     TIME_MODEL_CONTINUOUS,
     TIME_MODEL_DISCRETE,
+    check_nonnegative,
 )
 from repro.core.preference import PreferenceModel
 from repro.core.timeline import Period, Timeline
@@ -131,7 +136,12 @@ class GroupRecommender:
         self.predictor = predictor if predictor is not None else UserBasedCF()
         self.affinity_universe = tuple(affinity_universe) if affinity_universe else None
         self._computed: ComputedAffinities | None = None
+        # Each cached user's aprefs twice: the predictor's mapping, which
+        # aprefs_of hands out, and a float64 row aligned with the catalogue,
+        # which index_factory stacks.  refresh_aprefs patches both together.
         self._apref_cache: dict[int, dict[int, float]] = {}
+        self._apref_rows: dict[int, np.ndarray] = {}
+        self._catalogue: ItemCatalogue | None = None
 
     # -- fitting --------------------------------------------------------------------------
 
@@ -187,8 +197,37 @@ class GroupRecommender:
         """Cached absolute preferences of one user over all items."""
         self._require_fitted()
         if user_id not in self._apref_cache:
-            self._apref_cache[user_id] = self.predictor.predict_all(user_id)
+            predictions = self.predictor.predict_all(user_id)
+            self._cache_aprefs(user_id, predictions, self._row_of(predictions))
         return self._apref_cache[user_id]
+
+    def catalogue(self) -> ItemCatalogue:
+        """The item catalogue every full-catalogue factory shares.
+
+        Built over ``ratings.items`` and rebuilt when a delta changes the
+        item set, so the item tuple, column map, item objects, ``repr``
+        ranking and buffer pool exist once rather than once per group.
+        """
+        items = self.ratings.items
+        catalogue = self._catalogue
+        if catalogue is None or (catalogue.items is not items and catalogue.items != items):
+            catalogue = self._catalogue = ItemCatalogue(items)
+        return catalogue
+
+    def _row_of(self, predictions: Mapping[int, float]) -> np.ndarray:
+        """A prediction mapping as a float64 row over the catalogue (absent ids read 0)."""
+        items = self.ratings.items
+        return np.fromiter(
+            map(predictions.get, items, repeat(0.0)), dtype=float, count=len(items)
+        )
+
+    def _cache_aprefs(self, user_id: int, predictions: dict[int, float], row: np.ndarray) -> None:
+        self._apref_rows[user_id] = row
+        self._apref_cache[user_id] = predictions
+
+    def _apref_row(self, user_id: int) -> np.ndarray:
+        self.aprefs_of(user_id)
+        return self._apref_rows[user_id]
 
     # -- incremental refresh ------------------------------------------------------
 
@@ -200,9 +239,10 @@ class GroupRecommender:
         Touched users — and cached users the predictor cannot patch
         item-wise — are fully recomputed; every other cached user is patched
         only on the predictor's stale items, which is bit-identical to the
-        full recomputation by the shared per-item code path.  Returns the
-        ids of cached users whose apref values actually changed, so callers
-        can invalidate only the groups containing one of them.
+        full recomputation because the predictor computes both with one
+        kernel.  A changed user's mapping and row are replaced together.
+        Returns the ids of cached users whose apref values actually changed,
+        so callers can invalidate only the groups containing one of them.
         """
         self._require_fitted()
         if not self._apref_cache:
@@ -210,17 +250,29 @@ class GroupRecommender:
         touched = set(touched_users)
         stale_items = self.predictor.stale_prediction_items(touched)
         patchable = self.predictor.patchable_users(set(self._apref_cache) - touched)
+        item_col = self.catalogue().item_col
+        stale_cols = np.asarray([item_col[item] for item in stale_items], dtype=np.intp)
         changed: set[int] = set()
         for user in list(self._apref_cache):
-            cached = self._apref_cache[user]
+            row = self._apref_rows[user]
             if user in touched or user not in patchable:
                 fresh = self.predictor.predict_all(user)
+                fresh_row = self._row_of(fresh)
+                if np.array_equal(fresh_row, row):
+                    continue
             else:
-                fresh = dict(cached)
-                fresh.update(self.predictor.predict_for_items(user, stale_items))
-            if fresh != cached:
-                changed.add(user)
-                self._apref_cache[user] = fresh
+                if not stale_cols.size:
+                    continue
+                patch = self.predictor.predict_for_items(user, stale_items)
+                values = np.fromiter(patch.values(), dtype=float, count=len(patch))
+                if np.array_equal(values, row[stale_cols]):
+                    continue
+                fresh = dict(self._apref_cache[user])
+                fresh.update(patch)
+                fresh_row = row.copy()
+                fresh_row[stale_cols] = values
+            changed.add(user)
+            self._cache_aprefs(user, fresh, fresh_row)
         return changed
 
     def invalidate_aprefs(self) -> set[int]:
@@ -232,6 +284,7 @@ class GroupRecommender:
         """
         dropped = set(self._apref_cache)
         self._apref_cache.clear()
+        self._apref_rows.clear()
         return dropped
 
     def refresh_affinities(
@@ -324,32 +377,41 @@ class GroupRecommender:
     ) -> GrecaIndexFactory:
         """A :class:`GrecaIndexFactory` for one group's candidate universe.
 
-        The factory pays the apref-dictionary-to-matrix conversion once;
+        The factory stacks the members' cached apref rows into its matrix;
         combining it with :meth:`affinity_components` yields per-period /
         per-item-subset indexes without per-point substrate construction.
-        The normalisation constant is pinned to the rating-scale maximum, so
-        factory-derived indexes are bit-identical to :meth:`build_index`.
+        Over the full catalogue it shares :meth:`catalogue`; ``exclude_rated``
+        and an explicit ``items`` universe (sorted, de-duplicated, ids outside
+        the catalogue reading 0.0) select columns.  The normalisation
+        constant is pinned to the rating-scale maximum, so factory-derived
+        indexes are bit-identical to :meth:`build_index`.
         """
         self._require_fitted()
         group = list(group)
         if len(group) < 2:
             raise GroupError("group recommendation requires at least two members")
 
-        candidates = list(items) if items is not None else list(self.ratings.items)
-        if exclude_rated:
-            rated: set[int] = set()
-            for member in group:
-                if self.ratings.has_user(member):
-                    rated.update(self.ratings.user_ratings(member))
-            candidates = [item for item in candidates if item not in rated]
-        if not candidates:
-            raise AlgorithmError("no candidate items remain after exclusions")
-
-        aprefs: dict[int, dict[int, float]] = {}
-        for member in group:
-            predictions = self.aprefs_of(member)
-            aprefs[member] = {item: predictions.get(item, 0.0) for item in candidates}
-        return GrecaIndexFactory(members=group, aprefs=aprefs, max_apref=MAX_RATING)
+        catalogue = self.catalogue()
+        matrix = np.stack([self._apref_row(member) for member in group])
+        if items is not None or exclude_rated:
+            candidates = catalogue.items if items is None else sorted(set(items))
+            if exclude_rated:
+                rated: set[int] = set()
+                for member in group:
+                    if self.ratings.has_user(member):
+                        rated.update(self.ratings.user_ratings(member))
+                candidates = [item for item in candidates if item not in rated]
+            if not candidates:
+                raise AlgorithmError("no candidate items remain after exclusions")
+            universe = ItemCatalogue(candidates)
+            known = [item for item in candidates if item in catalogue.item_col]
+            columns = np.zeros((len(group), len(candidates)))
+            columns[:, [universe.item_col[item] for item in known]] = matrix[
+                :, [catalogue.item_col[item] for item in known]
+            ]
+            catalogue, matrix = universe, columns
+        check_nonnegative(group, catalogue.items, matrix)
+        return GrecaIndexFactory.from_columns(group, catalogue, matrix, max_apref=MAX_RATING)
 
     def build_index(
         self,

@@ -122,12 +122,18 @@ def next_generation() -> int:
         _GENERATION_COUNTER += 1
         return _GENERATION_COUNTER
 
-#: Segment names created by *this* process (fork children inherit a copy,
-#: which is exactly right: with a fork-inherited resource tracker the extra
-#: attach-registration is an idempotent no-op, while spawn children start
-#: empty and unregister their attachments so a child's tracker never unlinks
-#: a segment the parent still owns).
+#: Segment names created by *this* process (fork children inherit a copy).
 _OWNED_NAMES: set[str] = set()
+
+#: ``True`` once this process had to launch a resource tracker of its own to
+#: attach a segment.  On POSIX, fork, spawn and forkserver children all
+#: report to the tracker their parent was running when they started, so an
+#: attachment's registration is an idempotent repeat of the creator's there,
+#: and undoing it would strip the creator's own registration.  Only a
+#: process whose attach launched a fresh tracker — a fork child started
+#: before the parent ran one — must undo its attachments, or its tracker
+#: would unlink the parent's segments when it exits.
+_PRIVATE_TRACKER = False
 
 #: Process-local cache of attached segments (name → mapped segment, either
 #: backend).  Entries stay mapped for the life of the process so numpy views
@@ -228,12 +234,15 @@ def _attached_segment(name: str, storage: str = STORAGE_SHM) -> Segment:
             segment = MappedFileSegment(name)
             _ATTACHED[name] = segment
             return segment
+        global _PRIVATE_TRACKER
+        if resource_tracker._resource_tracker._fd is None:
+            # No tracker yet: the attach below launches one for this process.
+            _PRIVATE_TRACKER = True
         segment = shared_memory.SharedMemory(name=name)
-        if name not in _OWNED_NAMES:
+        if _PRIVATE_TRACKER and name not in _OWNED_NAMES:
             # Python < 3.13 registers *attachments* with the resource
-            # tracker too; under the spawn start method a worker's tracker
-            # would then unlink the parent's segment when the worker exits.
-            # Attachments are not ownership — undo the registration.
+            # tracker too.  Attachments are not ownership: keep this
+            # process's own tracker from unlinking the segment at exit.
             try:  # pragma: no cover - depends on interpreter internals
                 resource_tracker.unregister(
                     getattr(segment, "_name", segment.name), "shared_memory"

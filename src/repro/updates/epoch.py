@@ -28,6 +28,8 @@ generation-token floor, so epoch adoption behaves identically whichever
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -107,7 +109,13 @@ class EpochManager:
     # -- persistence ---------------------------------------------------------------
 
     def snapshot(self, path: str | Path) -> Path:
-        """Write the JSON journal (config + applied deltas) to ``path``."""
+        """Write the JSON journal (config + applied deltas) to ``path``.
+
+        The journal goes to a temporary file in the same directory, is
+        flushed and fsync'd, and then replaces ``path`` in one
+        ``os.replace``.  A crash mid-write leaves the previous journal
+        whole, and no temporary file outlives a failed write.
+        """
         path = Path(path)
         journal = {
             "version": JOURNAL_VERSION,
@@ -115,7 +123,19 @@ class EpochManager:
             "config": asdict(self.environment.config),
             "deltas": [delta_to_json(delta) for delta in self.applied],
         }
-        path.write_text(json.dumps(journal, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(journal, indent=2) + "\n"
+        descriptor, temporary = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temporary, path)
+        except BaseException:
+            os.unlink(temporary)
+            raise
         return path
 
     @classmethod

@@ -376,6 +376,57 @@ def test_epoch_manager_snapshot_restore_reaches_identical_state(
     restored.environment.close()
 
 
+def test_snapshot_failing_mid_write_keeps_the_previous_journal(
+    tmp_path, monkeypatch, base_substrate, deltas
+):
+    """A write that dies halfway leaves the last good journal restorable."""
+    import io
+
+    env = ScalabilityEnvironment(CONFIG, substrate=base_substrate)
+    manager = EpochManager(env)
+    manager.apply(deltas[0])
+    path = manager.snapshot(tmp_path / "journal.json")
+    manager.apply(deltas[1])
+
+    real_open = io.open
+
+    class HalfWriter:
+        """A text handle that writes half of what it is given, then fails."""
+
+        def __init__(self, handle):
+            self._handle = handle
+
+        def write(self, text):
+            self._handle.write(text[: len(text) // 2])
+            self._handle.flush()
+            raise OSError("device failed mid-write")
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(io, "open", failing_open)
+    with pytest.raises(OSError):
+        manager.snapshot(path)
+    monkeypatch.undo()
+
+    assert [entry.name for entry in tmp_path.iterdir()] == ["journal.json"]
+    restored = EpochManager.restore(path)
+    assert restored.epoch == 1
+    assert restored.applied == [deltas[0]]
+    restored.environment.close()
+    env.close()
+
+
 def test_restore_rejects_unknown_journal_version(tmp_path, evolved):
     _, manager = evolved
     path = manager.snapshot(tmp_path / "journal.json")

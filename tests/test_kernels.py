@@ -618,7 +618,7 @@ def test_restricted_indexes_do_not_share_the_pool():
     restricted = factory.build(
         case["static"], time_model=case["time_model"], items=subset
     )
-    assert restricted._buffer_pool is not full._buffer_pool
+    assert restricted.catalogue.buffer_pool is not full.catalogue.buffer_pool
     algorithm = Greca(make_consensus("AP"), k=2)
     run_full = algorithm.run(full)
     run_restricted = algorithm.run(restricted)

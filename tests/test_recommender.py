@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.baseline import NaiveFullScan
+from repro.core.consensus import make_consensus
+from repro.core.greca import Greca, GrecaIndexFactory
 from repro.core.recommender import (
     AFFINITY_CHOICES,
     GroupRecommendation,
     GroupRecommender,
 )
+from repro.data.ratings import MAX_RATING, Rating
 from repro.exceptions import AlgorithmError, ConfigurationError, GroupError
 
 
@@ -123,3 +128,67 @@ class TestRecommendation:
         first = recommender.aprefs_of(group[0])
         second = recommender.aprefs_of(group[0])
         assert first is second
+
+
+class TestColumnarFactories:
+    """Factories stack cached apref rows over one shared catalogue."""
+
+    @staticmethod
+    def dict_factory(recommender, group, exclude_rated, items):
+        """The reference construction: per-member apref dictionaries."""
+        candidates = list(items) if items is not None else list(recommender.ratings.items)
+        if exclude_rated:
+            rated = set()
+            for member in group:
+                rated.update(recommender.ratings.user_ratings(member))
+            candidates = [item for item in candidates if item not in rated]
+        aprefs = {
+            member: {item: recommender.aprefs_of(member).get(item, 0.0) for item in candidates}
+            for member in group
+        }
+        return GrecaIndexFactory(members=group, aprefs=aprefs, max_apref=MAX_RATING)
+
+    @pytest.mark.parametrize("exclude_rated", (False, True))
+    @pytest.mark.parametrize("explicit", (False, True))
+    def test_factory_equals_the_dict_built_one(self, recommender, exclude_rated, explicit):
+        # The two lightest raters, so that exclude_rated leaves candidates.
+        ratings = recommender.ratings
+        group = sorted(recommender.social.users, key=lambda u: len(ratings.user_ratings(u)))[:2]
+        items = None
+        if explicit:  # unsorted, duplicated, and one id outside the catalogue
+            catalogue = recommender.ratings.items
+            items = list(catalogue[40:5:-3]) + list(catalogue[10:20]) + [max(catalogue) + 7]
+        built = recommender.index_factory(group, exclude_rated=exclude_rated, items=items)
+        reference = self.dict_factory(recommender, group, exclude_rated, items)
+        members, items_new, matrix, ranks, max_apref = built.columnar_substrate()
+        members_ref, items_ref, matrix_ref, ranks_ref, max_ref = reference.columnar_substrate()
+        assert (members, items_new, max_apref) == (members_ref, items_ref, max_ref)
+        assert matrix.dtype == matrix_ref.dtype and matrix.flags.c_contiguous
+        assert np.array_equal(matrix.view(np.int64), matrix_ref.view(np.int64))
+        assert np.array_equal(np.argsort(ranks), np.argsort(ranks_ref))
+        consensus = make_consensus("MO")
+        for algorithm in (Greca(consensus, k=5), NaiveFullScan(consensus, k=5)):
+            assert algorithm.run(built.build({})) == algorithm.run(reference.build({}))
+
+    def test_factories_share_one_catalogue(self, recommender, social_users):
+        first = recommender.index_factory(social_users[:3], exclude_rated=False)
+        second = recommender.index_factory(social_users[3:7], exclude_rated=False)
+        catalogue = recommender.catalogue()
+        assert first.build({}).catalogue is second.build({}).catalogue is catalogue
+        assert first.items is recommender.ratings.items
+        prefix = recommender.ratings.items[:30]
+        left = first.build({}, items=prefix).catalogue
+        right = second.build({}, items=list(reversed(prefix))).catalogue
+        assert left is right and left.items == tuple(prefix)
+
+    def test_catalogue_follows_the_item_set(self, small_ratings):
+        recommender = GroupRecommender(small_ratings).fit()
+        before = recommender.catalogue()
+        assert recommender.catalogue() is before
+        new_item = max(small_ratings.items) + 1
+        user = small_ratings.users[0]
+        recommender.ratings = small_ratings.extended([Rating(user, new_item, 4.0, 10)])
+        after = recommender.catalogue()
+        assert after is not before and new_item in after.item_col
+        factory = recommender.index_factory(list(small_ratings.users[:2]), exclude_rated=False)
+        assert factory.items == recommender.ratings.items

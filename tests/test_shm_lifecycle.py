@@ -1028,3 +1028,47 @@ def test_affinity_handles_keep_storage_distinct(columnar_workload):
         assert shm_handle.static.storage == "shm"
         assert mmap_handle.static.storage == "mmap"
         assert len({shm_handle, mmap_handle}) == 2
+
+
+def test_fork_workers_keep_the_parents_tracker_registrations():
+    """A segment exported after the pool forked is tracked once, by its creator.
+
+    Fork (and spawn and forkserver) workers report to the parent's resource
+    tracker.  A worker that unregistered its attachment there stripped the
+    parent's own registration, so the parent's unlink unregistered the name
+    a second time and the tracker printed a ``KeyError`` traceback — and a
+    parent dying before the unlink would have left the segment untracked.
+    """
+    import subprocess
+    import sys
+
+    script = "\n".join(
+        [
+            "from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment",
+            "config = ScalabilityConfig(n_users=30, n_items=80, n_ratings=900,",
+            "                           n_participants=9, n_groups=2, group_size=3, seed=3)",
+            "env = ScalabilityEnvironment(config)",
+            "first, second = env.random_groups()",
+            "env.run_records([first], n_workers=1, executor='persistent')",
+            "env.run_records([second], n_workers=1, executor='persistent')",
+            "print('SEGMENTS', *env.shm_segment_names(), flush=True)",
+            "env.close()",
+        ]
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    segments = next(
+        line.split()[1:] for line in done.stdout.splitlines() if line.startswith("SEGMENTS")
+    )
+    assert len(segments) >= 2  # one export before the fork, one after
+    assert "KeyError" not in done.stderr, done.stderr
+    assert_unlinked(segments)
