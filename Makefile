@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all ci test test-fast test-parallel test-chaos test-service test-epoch test-storage test-kernels test-slow serve-smoke bench perfbench-gate bench-engine bench-record bench-record-paper bench-record-shipment bench-record-service bench-record-epoch bench-record-storage bench-record-kernel bench-all golden golden-freshness
+.PHONY: all ci test test-fast test-parallel test-chaos test-service test-epoch test-storage test-slow serve-smoke bench perfbench-gate bench-engine bench-all golden golden-freshness
 
 # Default: the fast equivalence suite (golden grid + property/metamorphic
 # tests) plus the perf budget gate, so access-equivalence and performance
@@ -19,9 +19,10 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q
 
 # Serial ≡ parallel equivalence of the sharded group-evaluation layer
-# (shard planner, process/persistent workers, pickle + shared-memory
-# shipment, order-restoring merge; shard counts {1, 2, 3, 7} plus
-# random-partition property cases) and the shm segment-lifecycle suite.
+# (shard planner, in-process and persistent-pool workers, descriptor
+# shipment over shm and mmap, order-restoring merge; shard counts
+# {1, 2, 3, 7} plus random-partition property cases) and the shm
+# segment-lifecycle suite.
 test-parallel:
 	$(PYTHON) -m pytest tests/test_parallel_equivalence.py tests/test_shm_lifecycle.py -q
 
@@ -41,8 +42,8 @@ test-service:
 # Epoch suite: the delta-equivalence matrix (incremental apply_delta state
 # bit-identical to a full rebuild over the merged history, across the
 # serial/persistent/supervised/service tiers, shard counts {1, 2, 3, 7},
-# pickle + shm shipment, figure drivers and snapshot/restore), plus the
-# epoch-adoption chaos case and the retired-segment drain case.
+# in-process and pooled shipment, figure drivers and snapshot/restore), plus
+# the epoch-adoption chaos case and the retired-segment drain case.
 test-epoch:
 	$(PYTHON) -m pytest tests/test_epoch_updates.py \
 		tests/test_fault_tolerance.py::test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch \
@@ -51,18 +52,10 @@ test-epoch:
 # Storage suite: the mmap spool backend and the ExecutionPolicy bundle —
 # file-backed columns bit-identical to shm and serial across shard counts,
 # spool-file lifecycle (normal exit, worker crash, KeyboardInterrupt), the
-# /dev/shm budget spill guard, shm/mmap handle anti-aliasing, policy
-# round-trips and the mixed-spelling error, plus the mmap epoch-swap cases.
+# /dev/shm budget spill guard, shm/mmap handle anti-aliasing and the
+# ExecutionPolicy bundle, plus the mmap epoch-swap cases.
 test-storage:
 	$(PYTHON) -m pytest tests/test_parallel_equivalence.py tests/test_shm_lifecycle.py tests/test_epoch_updates.py -q -k "storage or mmap or spool or policy"
-
-# Kernel suite: round-kernel equivalence — every registered tier (reference,
-# fused, and numba when the optional extra is installed) bit-identical to
-# the reference kernel across the golden grid, the randomized property
-# cases, the sharded/chaos/epoch tiers and the policy/service plumbing.
-# Numba-tier cases skip cleanly when the dependency is absent.
-test-kernels:
-	$(PYTHON) -m pytest tests/test_kernels.py -q
 
 # Serving smoke gate: start the service on the scaled-down substrate, fire
 # the load generator at it, and self-check — responses bit-identical to the
@@ -91,55 +84,6 @@ perfbench-gate:
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
 
-# Append a measured engine record to BENCH_engine.json (LABEL=... required).
-bench-record:
-	$(PYTHON) scripts/bench_engine.py --label $(LABEL)
-
-# Append the sharded paper-scale point (full MovieLens-1M substrate, serial
-# vs N process workers; minutes — builds the 1M-rating environment).
-# Usage: make bench-record-paper LABEL=... [WORKERS=4]
-WORKERS ?= 4
-bench-record-paper:
-	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --paper-scale --workers $(WORKERS)
-
-# Append the factory-shipment point (pickle vs shared-memory payload bytes
-# for the factory and affinity-column paths, dispatch counts per-point vs
-# batched, and wall-clock, figure-6 sweep over the default substrate).
-# Usage: make bench-record-shipment LABEL=... [WORKERS=4] [OUTPUT=path.json]
-# OUTPUT writes the record to a standalone file (the CI artifact) instead of
-# appending to BENCH_engine.json.
-bench-record-shipment:
-	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --shipment --workers $(WORKERS) $(if $(OUTPUT),--output $(OUTPUT))
-
-# Append a measured service latency/throughput record (p50/p95/p99 at N
-# concurrent clients, plus a bit-identical equivalence flag) to
-# BENCH_service.json, alongside BENCH_engine.json.  LABEL=... required;
-# OUTPUT writes a standalone file (the CI artifact) instead.
-bench-record-service:
-	$(PYTHON) scripts/bench_service.py --label $(LABEL) $(if $(OUTPUT),--output $(OUTPUT))
-
-# Append the epoch point (incremental delta-apply latency vs the full
-# rebuild a non-incremental system would pay for the same freshness, with
-# the equivalence oracle enforced) to BENCH_engine.json.
-# Usage: make bench-record-epoch LABEL=... [DELTAS=5] [OUTPUT=path.json]
-DELTAS ?= 5
-bench-record-epoch:
-	$(PYTHON) scripts/bench_epoch.py --label $(LABEL) --deltas $(DELTAS) $(if $(OUTPUT),--output $(OUTPUT))
-
-# Append the storage-backend point (shared-memory vs mmap spool dispatch
-# latency and descriptor payload bytes over the figure-6 sweep, serial
-# equivalence enforced) to BENCH_engine.json.
-# Usage: make bench-record-storage LABEL=... [WORKERS=4] [OUTPUT=path.json]
-bench-record-storage:
-	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --storage --workers $(WORKERS) $(if $(OUTPUT),--output $(OUTPUT))
-
-# Append the round-kernel point (reference vs fused — vs numba when the
-# kernels extra is installed — wall-clock and per-round timing over the
-# default end-to-end workload, serial equivalence enforced).
-# Usage: make bench-record-kernel LABEL=... [OUTPUT=path.json]
-bench-record-kernel:
-	$(PYTHON) scripts/bench_engine.py --label $(LABEL) --kernel $(if $(OUTPUT),--output $(OUTPUT))
-
 # Every paper figure/table benchmark (minutes).
 bench-all:
 	$(PYTHON) -m pytest benchmarks/ -q
@@ -162,4 +106,4 @@ golden-freshness:
 # Everything CI runs, in CI's order — reproduce a red pipeline locally
 # without pushing.  (CI additionally fans test-fast out over Python
 # 3.10/3.11/3.12 and treats the bench budget as advisory on shared runners.)
-ci: test-fast test-parallel test-chaos test-service test-epoch test-storage test-kernels serve-smoke bench golden-freshness perfbench-gate
+ci: test-fast test-parallel test-chaos test-service test-epoch test-storage serve-smoke bench golden-freshness perfbench-gate

@@ -1,8 +1,8 @@
 """Micro-benchmarks for the batched columnar access engine.
 
-Two measurements track the engine's perf trajectory across PRs (the
-append-only history lives in ``BENCH_engine.json``, produced by
-``scripts/bench_engine.py``):
+Two measurements track the engine's speed (the frozen history of earlier
+measurements lives in ``BENCH_engine.json``; perfbench measures the program
+end to end):
 
 * GRECA end-to-end on the paper's 3,900-item catalogue (default
   :class:`ScalabilityConfig`: 8 groups of 6, AP consensus, k = 10) with the

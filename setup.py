@@ -2,12 +2,7 @@
 
 The project is deliberately light on packaging machinery (it is a paper
 reproduction developed from a source checkout with ``PYTHONPATH=src``), so
-all metadata lives here rather than in a pyproject.toml.  The one
-interesting knob is the ``kernels`` extra: the fused numpy round kernel
-works everywhere, while ``pip install -e '.[kernels]'`` additionally pulls
-in numba for the opt-in njit tier (``ExecutionPolicy(kernel="numba")``).
-Everything degrades cleanly when the extra is absent — the numba tier
-raises a gated RuntimeError at construction and its tests skip.
+all metadata lives here rather than in a pyproject.toml.
 """
 
 from setuptools import find_packages, setup
@@ -24,12 +19,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={
-        # Optional njit round-kernel tier.  The pin mirrors the numpy
-        # versions the suite runs on; without this extra installed,
-        # kernel="numba" raises a clear RuntimeError and the numba-tier
-        # tests skip (see tests/test_kernels.py and `make test-kernels`).
-        "kernels": ["numba>=0.59"],
-        "test": ["pytest", "hypothesis"],
-    },
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

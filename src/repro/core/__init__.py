@@ -14,7 +14,7 @@ from repro.core.affinity import (
 )
 from repro.core.baseline import BaselineResult, NaiveFullScan, ThresholdAlgorithmBaseline
 from repro.core.bounds import Interval, PairwiseAffinityBounds
-from repro.core.buffer import BufferedItem, CandidateBuffer, ColumnarCandidateBuffer
+from repro.core.buffer import BufferedItem, ColumnarCandidateBuffer
 from repro.core.consensus import (
     AVERAGE_PREFERENCE,
     LEAST_MISERY,
@@ -25,20 +25,7 @@ from repro.core.consensus import (
     make_consensus,
 )
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory, GrecaResult
-from repro.core.kernels import (
-    KERNEL_FUSED,
-    KERNEL_NUMBA,
-    KERNEL_REFERENCE,
-    NUMBA_AVAILABLE,
-    FusedRoundKernel,
-    ReferenceRoundKernel,
-    RoundKernel,
-    RoundState,
-    kernel_names,
-    register_kernel,
-    resolve_kernel,
-    validate_kernel_name,
-)
+from repro.core.kernels import RoundKernel, RoundState
 from repro.core.lists import AccessCounter, ListEntry, SortedAccessList
 from repro.core.preference import AbsolutePreferenceSource, PreferenceModel
 from repro.core.recommender import GroupRecommendation, GroupRecommender
@@ -51,14 +38,12 @@ __all__ = [
     "AffinityModel",
     "BaselineResult",
     "BufferedItem",
-    "CandidateBuffer",
     "ColumnarCandidateBuffer",
     "ComputedAffinities",
     "ConsensusFunction",
     "ContinuousAffinityModel",
     "DiscreteAffinityModel",
     "ExplicitAffinityModel",
-    "FusedRoundKernel",
     "Greca",
     "GrecaIndex",
     "GrecaIndexFactory",
@@ -66,12 +51,8 @@ __all__ = [
     "GroupRecommendation",
     "GroupRecommender",
     "Interval",
-    "KERNEL_FUSED",
-    "KERNEL_NUMBA",
-    "KERNEL_REFERENCE",
     "LEAST_MISERY",
     "ListEntry",
-    "NUMBA_AVAILABLE",
     "NaiveFullScan",
     "NoAffinityModel",
     "PAIRWISE_DISAGREEMENT",
@@ -80,7 +61,6 @@ __all__ = [
     "PairwiseAffinityBounds",
     "Period",
     "PreferenceModel",
-    "ReferenceRoundKernel",
     "RoundKernel",
     "RoundState",
     "SortedAccessList",
@@ -91,11 +71,7 @@ __all__ = [
     "combine_continuous",
     "combine_discrete",
     "discretize",
-    "kernel_names",
     "make_consensus",
     "one_year_timeline",
-    "register_kernel",
-    "resolve_kernel",
     "uniform_timeline",
-    "validate_kernel_name",
 ]

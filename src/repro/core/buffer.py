@@ -14,9 +14,6 @@ array assignments and the ranking queries run as vectorised selections.
 :func:`select_top_k` is the one top-k selection: GRECA's stopping check and
 the buffer's :meth:`~ColumnarCandidateBuffer.top_k` both call it, so the
 items the stop test protects are exactly the items the answer returns.
-:class:`CandidateBuffer` remains as a thin compatibility façade with the
-original per-item dict-style API, delegating all storage and queries to the
-columnar buffer.
 """
 
 from __future__ import annotations
@@ -222,52 +219,3 @@ class ColumnarCandidateBuffer:
             for slot in slots
         ]
 
-
-class CandidateBuffer:
-    """Items encountered so far with their [lower, upper] consensus bounds.
-
-    Compatibility façade over :class:`ColumnarCandidateBuffer` preserving the
-    original per-item API.
-    """
-
-    def __init__(self) -> None:
-        self._columnar = ColumnarCandidateBuffer()
-
-    # -- container protocol --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._columnar)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._columnar
-
-    def __iter__(self) -> Iterator[BufferedItem]:
-        return iter(self._columnar)
-
-    # -- updates -------------------------------------------------------------------------
-
-    def update(self, item: Hashable, lower: float, upper: float) -> None:
-        """Insert or refresh the bounds of one item."""
-        self._columnar.update(item, lower, upper)
-
-    def update_many(self, bounds: Mapping[Hashable, tuple[float, float]]) -> None:
-        """Bulk insert/refresh from ``{item: (lower, upper)}``."""
-        self._columnar.update_many(bounds)
-
-    def remove(self, items: Iterable[Hashable]) -> None:
-        """Drop items that have been pruned."""
-        self._columnar.remove(items)
-
-    # -- queries -------------------------------------------------------------------------
-
-    def get(self, item: Hashable) -> BufferedItem | None:
-        """The buffered record of ``item`` or ``None``."""
-        return self._columnar.get(item)
-
-    def ranked_by_lower_bound(self) -> list[BufferedItem]:
-        """All buffered items sorted by decreasing lower bound (ties by item repr)."""
-        return self._columnar.ranked_by_lower_bound()
-
-    def top_k(self, k: int) -> list[BufferedItem]:
-        """The ``k`` buffered items with the highest lower bounds."""
-        return self._columnar.top_k(k)

@@ -74,7 +74,7 @@ from repro.core.affinity import (
 from repro.core.bounds import PairwiseAffinityBounds
 from repro.core.buffer import ColumnarCandidateBuffer, select_top_k
 from repro.core.consensus import ConsensusFunction
-from repro.core.kernels import make_round_state, resolve_kernel
+from repro.core.kernels import RoundKernel, make_round_state
 from repro.core.lists import (
     KIND_PERIODIC_AFFINITY,
     KIND_PREFERENCE,
@@ -756,13 +756,6 @@ class Greca:
         conditions.  ``None`` selects an adaptive default that keeps the
         bookkeeping overhead negligible while bounding the overshoot to a
         small fraction of the lists.
-    kernel:
-        Round-kernel backend executing the advance/refresh steps —
-        ``"reference"`` (the default), ``"fused"``, or ``"numba"`` when the
-        optional dependency is installed.  Every registered kernel is
-        bit-identical to the reference tier (see :mod:`repro.core.kernels`);
-        unknown names raise :class:`ValueError` at the single choice point
-        (:func:`repro.core.kernels.validate_kernel_name`).
     """
 
     def __init__(
@@ -770,7 +763,6 @@ class Greca:
         consensus: ConsensusFunction,
         k: int = 10,
         check_interval: int | None = None,
-        kernel: str | None = None,
     ) -> None:
         if k <= 0:
             raise AlgorithmError("k must be positive")
@@ -779,8 +771,7 @@ class Greca:
         self.consensus = consensus
         self.k = k
         self.check_interval = check_interval
-        self.kernel = kernel
-        self._kernel = resolve_kernel(kernel)
+        self._kernel = RoundKernel()
 
     # -- public API ---------------------------------------------------------------------------
 

@@ -1,69 +1,36 @@
-"""Pluggable round kernels for the GRECA inner loop.
+"""The GRECA round kernel: the two array steps of every round.
 
 :meth:`Greca.run <repro.core.greca.Greca.run>` orchestrates the paper's
 round-robin as *advance lists → scatter bounds → recombine affinities →
 threshold → stop check*.  The stop check and the consensus-bound algebra are
-consensus-function-specific Python shared by every execution tier; the two
-hot steps in between — scattering block reads into the ``(members × items)``
-bound arrays and refreshing the unseen suffix of every member row — are pure
-array work.  This module extracts those two steps behind a ``RoundKernel``
-seam so alternative implementations can plug in without forking the
-algorithm, mirroring the executor/storage registries in
-:mod:`repro.parallel.pool` and :mod:`repro.parallel.storage`:
+consensus-function-specific Python; the two steps in between — scattering
+block reads into the ``(members × items)`` bound arrays and refreshing the
+unseen suffix of every member row — are pure array work, and live here in
+:class:`RoundKernel`, one per-member loop each.
 
-* ``kernel="reference"`` — the original per-member loops, extracted verbatim
-  from ``Greca.run``.  This is the reference semantics every other tier is
-  measured against.
-* ``kernel="fused"`` — always available: the per-member scatter loops are
-  replaced by one batched gather/scatter over the packed
-  ``(n_members, n_items)`` key-index matrix held in :class:`RoundState`.
-  Every array write is an assignment (never a sum), so floating-point
-  summation order is untouched and the fused tier stays bit-identical to
-  the reference oracle.
-* ``kernel="numba"`` — opt-in: the fused scatter/suffix steps compiled with
-  :func:`numba.njit`.  Importability-gated; registered only when ``numba``
-  is installed, and the test/CI axis skips cleanly when it is absent.
-
-Kernel names pass through :func:`validate_kernel_name`, the single
-:class:`ValueError` choice point for ``kernel=`` strings (the analogue of
-``pool.validate_executor_name`` / ``storage.validate_storage_name``), and
-the registry (:func:`register_kernel` / :func:`kernel_names`) is how new
-backends join — including compiled tiers beyond numba.
+A batched gather/scatter variant over packed ``(members × items)`` key and
+score matrices was bit-identical but no faster on the default workloads,
+and it paid for two packed copies per run, so the per-member loop is the
+only kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.bounds import PairwiseAffinityBounds
 from repro.core.lists import SortedAccessList
 
-#: Kernel names accepted by :func:`validate_kernel_name`.
-KERNEL_REFERENCE = "reference"
-KERNEL_FUSED = "fused"
-KERNEL_NUMBA = "numba"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the container default
-    _njit = None
-    NUMBA_AVAILABLE = False
-
 
 @dataclass
 class RoundState:
     """Plain-ndarray working state of one GRECA execution.
 
-    Everything a kernel touches per round lives here: the in-place bound
-    arrays, the packed per-member sort permutations (``key_matrix``) and
-    sorted score rows (``score_matrix``), the affinity recombiner, and the
-    reusable threshold columns (hoisted out of the round loop so repeated
-    checks allocate nothing).
+    Everything the kernel touches per round lives here: the in-place bound
+    arrays, the affinity recombiner, and the reusable threshold columns
+    (hoisted out of the round loop so repeated checks allocate nothing).
     """
 
     preference_lists: list[SortedAccessList]
@@ -75,10 +42,6 @@ class RoundState:
     apref_high: np.ndarray
     buffered: np.ndarray
     cursor_values: np.ndarray
-    #: ``key_matrix[row]`` is member ``row``'s sort permutation (item columns
-    #: in list order); ``score_matrix[row]`` the matching sorted scores.
-    key_matrix: np.ndarray
-    score_matrix: np.ndarray
     #: Affinity bound matrices, refreshed by ``refresh_bounds``.
     aff_low: np.ndarray = field(default=None)  # type: ignore[assignment]
     aff_high: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -107,11 +70,6 @@ def make_round_state(
     n_items: int,
 ) -> RoundState:
     """Build the round state for freshly constructed (unread) lists."""
-    key_matrix = np.empty((n_members, n_items), dtype=np.intp)
-    score_matrix = np.empty((n_members, n_items))
-    for row, preference_list in enumerate(preference_lists):
-        key_matrix[row] = preference_list.key_index
-        score_matrix[row] = preference_list.scores
     return RoundState(
         preference_lists=preference_lists,
         affinity_bounds=affinity_bounds,
@@ -121,43 +79,16 @@ def make_round_state(
         apref_high=np.empty((n_members, n_items)),
         buffered=np.zeros(n_items, dtype=bool),
         cursor_values=np.empty(n_members),
-        key_matrix=key_matrix,
-        score_matrix=score_matrix,
     )
 
 
-@runtime_checkable
-class RoundKernel(Protocol):
-    """One GRECA round step: advance the lists, then refresh the bounds.
-
-    Implementations must be *bit-identical* to the reference kernel: same
-    access accounting (``advance`` must read every list through
-    ``sequential_block`` so SAs are recorded), same array contents after
-    every step, and same floating-point summation order (assign, never
-    accumulate, when scattering).
-    """
-
-    name: str
+class RoundKernel:
+    """One GRECA round step: advance the lists, then refresh the bounds."""
 
     def advance(self, state: RoundState, block: int) -> None:
-        """Advance every list by ``block`` round-robin cycles, scattering
-        the preference scores read into ``apref_low``/``apref_high`` and
-        marking newly seen items in ``buffered``."""
-        ...
-
-    def refresh_bounds(self, state: RoundState) -> tuple[np.ndarray, np.ndarray]:
-        """Recombine affinity bounds, refresh cursor values and the unseen
-        suffix of ``apref_high``, fill the ``virtual_*`` threshold columns,
-        and return the ``(pref_low, pref_high)`` group-preference bounds."""
-        ...
-
-
-class ReferenceRoundKernel:
-    """The original ``Greca.run`` loops, extracted verbatim."""
-
-    name = KERNEL_REFERENCE
-
-    def advance(self, state: RoundState, block: int) -> None:
+        """Advance every list by ``block`` round-robin cycles, scattering the
+        preference scores read into ``apref_low``/``apref_high`` and marking
+        newly seen items in ``buffered``."""
         apref_low = state.apref_low
         apref_high = state.apref_high
         buffered = state.buffered
@@ -173,6 +104,9 @@ class ReferenceRoundKernel:
         state.rounds += block
 
     def refresh_bounds(self, state: RoundState) -> tuple[np.ndarray, np.ndarray]:
+        """Recombine affinity bounds, refresh cursor values and the unseen
+        suffix of ``apref_high``, fill the ``virtual_high`` threshold column,
+        and return the ``(pref_low, pref_high)`` group-preference bounds."""
         # Bound maintenance: only pairs whose lists moved are recombined,
         # and only the unseen suffix of each member row is rewritten.
         aff_low, aff_high = state.affinity_bounds.bounds()
@@ -195,161 +129,15 @@ class ReferenceRoundKernel:
         return pref_low, pref_high
 
 
-def _scatter_block_numpy(
-    apref_low: np.ndarray,
-    apref_high: np.ndarray,
-    buffered: np.ndarray,
-    cols: np.ndarray,
-    scores: np.ndarray,
-) -> None:
-    rows = np.arange(cols.shape[0])[:, None]
-    apref_low[rows, cols] = scores
-    apref_high[rows, cols] = scores
-    buffered[cols.ravel()] = True
-
-
-def _rewrite_suffix_numpy(
-    apref_high: np.ndarray,
-    cols: np.ndarray,
-    cursor_values: np.ndarray,
-) -> None:
-    rows = np.arange(cols.shape[0])[:, None]
-    apref_high[rows, cols] = cursor_values[:, None]
-
-
-class FusedRoundKernel:
-    """Batched gather/scatter over the packed key-index matrix.
-
-    The per-member Python loops of the reference kernel collapse into one
-    fancy-indexed scatter per step.  Lists still advance through
-    ``sequential_block`` one by one (that is where sequential accesses are
-    recorded), but their return values are ignored in favour of views into
-    the precomputed ``score_matrix`` — the same bytes, gathered without
-    per-member slicing.  All writes are assignments, so the results are
-    bit-identical to the reference kernel.
-    """
-
-    name = KERNEL_FUSED
-
-    #: The array-only inner steps; the numba kernel swaps in compiled ones.
-    _scatter_block = staticmethod(_scatter_block_numpy)
-    _rewrite_suffix = staticmethod(_rewrite_suffix_numpy)
-
-    def advance(self, state: RoundState, block: int) -> None:
-        lists = state.preference_lists
-        start = lists[0].position if lists else 0
-        took = 0
-        for preference_list in lists:
-            _, scores = preference_list.sequential_block(block)
-            took = scores.size
-        if took:
-            cols = state.key_matrix[:, start : start + took]
-            scores = state.score_matrix[:, start : start + took]
-            self._scatter_block(state.apref_low, state.apref_high, state.buffered, cols, scores)
-        state.affinity_bounds.advance(block)
-        state.rounds += block
-
-    def refresh_bounds(self, state: RoundState) -> tuple[np.ndarray, np.ndarray]:
-        aff_low, aff_high = state.affinity_bounds.bounds()
-        state.aff_low, state.aff_high = aff_low, aff_high
-        cursor_values = state.cursor_values
-        for row, preference_list in enumerate(state.preference_lists):
-            cursor_values[row] = preference_list.cursor_score
-        position = state.preference_lists[0].position if state.preference_lists else 0
-        if position < state.n_items:
-            self._rewrite_suffix(
-                state.apref_high, state.key_matrix[:, position:], cursor_values
-            )
-        apref_low = state.apref_low
-        apref_high = state.apref_high
-        pref_low = apref_low + aff_low @ apref_low
-        pref_high = apref_high + aff_high @ apref_high
-        state.virtual_high[:, 0] = cursor_values + aff_high @ cursor_values
-        return pref_low, pref_high
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-
-    @_njit(cache=False)
-    def _scatter_block_njit(apref_low, apref_high, buffered, cols, scores):
-        n_rows, n_cols = cols.shape
-        for row in range(n_rows):
-            for position in range(n_cols):
-                col = cols[row, position]
-                value = scores[row, position]
-                apref_low[row, col] = value
-                apref_high[row, col] = value
-                buffered[col] = True
-
-    @_njit(cache=False)
-    def _rewrite_suffix_njit(apref_high, cols, cursor_values):
-        n_rows, n_cols = cols.shape
-        for row in range(n_rows):
-            cursor = cursor_values[row]
-            for position in range(n_cols):
-                apref_high[row, cols[row, position]] = cursor
-
-
-class NumbaRoundKernel(FusedRoundKernel):
-    """The fused step with its array loops compiled by :func:`numba.njit`.
-
-    Only the assignment-scatter loops are compiled — the affinity
-    recombination and the ``@`` matmuls stay on numpy's BLAS path, so the
-    floating-point story is exactly the fused kernel's.  Constructible only
-    when numba imports; :func:`kernel_names` simply omits ``"numba"``
-    otherwise.
-    """
-
-    name = KERNEL_NUMBA
-
-    def __init__(self) -> None:
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError(
-                "kernel 'numba' requires the optional numba dependency "
-                "(pip install 'repro[kernels]')"
-            )
-        # Instance attributes shadow the class-level numpy callables; plain
-        # functions assigned on an instance are not bound, so the fused
-        # ``self._scatter_block(...)`` call sites work unchanged.
-        self._scatter_block = _scatter_block_njit
-        self._rewrite_suffix = _rewrite_suffix_njit
-
-
-_KERNEL_BUILDERS: dict[str, Callable[[], RoundKernel]] = {}
-
-
-def register_kernel(name: str, builder: Callable[[], RoundKernel]) -> None:
-    """Register a round-kernel backend under ``name``.
-
-    Registering is what puts a backend into :func:`kernel_names` — and
-    therefore into every ``kernel=`` validation message.
-    """
-    _KERNEL_BUILDERS[name] = builder
-
-
-register_kernel(KERNEL_REFERENCE, ReferenceRoundKernel)
-register_kernel(KERNEL_FUSED, FusedRoundKernel)
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    register_kernel(KERNEL_NUMBA, NumbaRoundKernel)
+# perfbench/trace.py finds the kernel class it times through these two
+# functions; they can go once the tracer patches RoundKernel directly.
 
 
 def kernel_names() -> tuple[str, ...]:
-    """Every registered kernel name, in registration order."""
-    return tuple(_KERNEL_BUILDERS)
+    """The name of the one round kernel."""
+    return ("reference",)
 
 
-def validate_kernel_name(kernel: str) -> str:
-    """The single ``ValueError`` choice point for ``kernel=`` strings."""
-    if kernel not in _KERNEL_BUILDERS:
-        valid = ", ".join(repr(name) for name in sorted(_KERNEL_BUILDERS))
-        raise ValueError(f"unknown kernel {kernel!r}: valid kernels are {valid}")
-    return kernel
-
-
-def resolve_kernel(kernel: str | RoundKernel | None) -> RoundKernel:
-    """Materialise a kernel from a name (``None`` selects the reference tier)."""
-    if kernel is None:
-        kernel = KERNEL_REFERENCE
-    if isinstance(kernel, str):
-        return _KERNEL_BUILDERS[validate_kernel_name(kernel)]()
-    return kernel
+def resolve_kernel(name: str) -> RoundKernel:
+    """The round kernel (``name`` is one of :func:`kernel_names`)."""
+    return RoundKernel()

@@ -79,8 +79,6 @@ def run(
     start: int = 0,
     span_days: int = 365,
     seed: int = 29,
-    n_workers: int | None = None,
-    executor=None,
     policy=None,
 ) -> Figure4Result:
     """Regenerate Figure 4.
@@ -95,12 +93,12 @@ def run(
         The observation window.
     seed:
         Seed for the generated cohort when ``social`` is omitted.
-    n_workers / executor / policy:
-        Accepted so the runner can pass the same parallelism knobs (loose or
-        bundled as an :class:`~repro.parallel.ExecutionPolicy`) to every
-        figure 4-8 driver; this figure measures per-granularity period
-        statistics (no group evaluation), so the knobs have nothing to shard
-        and the driver always runs serially.
+    policy:
+        Accepted so the runner can pass the same
+        :class:`~repro.parallel.ExecutionPolicy` to every figure 4-8 driver;
+        this figure measures per-granularity period statistics (no group
+        evaluation), so the policy has nothing to shard and the driver
+        always runs serially.
     """
     end = start + span_days * 86_400 - 1
     if social is None:

@@ -95,8 +95,6 @@ def run(
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     group_sizes: Sequence[int] = DEFAULT_GROUP_SIZES,
     item_fractions: Sequence[float] = DEFAULT_ITEM_FRACTIONS,
-    n_workers: int | None = None,
-    executor=None,
     policy=None,
 ) -> Figure5Result:
     """Regenerate Figure 5 on the (possibly scaled-down) substrate.
@@ -104,9 +102,8 @@ def run(
     Index construction is shared through the environment's reuse layer: the
     ``k`` sweep reuses each group's index outright, and the item-count sweep
     column-slices the group's columnar substrate instead of rebuilding it.
-    ``n_workers=`` / ``executor=`` (or a bundled
-    :class:`~repro.parallel.ExecutionPolicy` via ``policy=``) batch all
-    three charts' sweep points into one sharded dispatch (serial reference
+    A sharded :class:`~repro.parallel.ExecutionPolicy` (``policy=``)
+    batches all three charts' sweep points into one sharded dispatch (serial reference
     semantics by default); a driver-owned environment is closed on the way
     out, exception or not.
     """
@@ -124,9 +121,7 @@ def run(
         points = [SweepPoint(groups=base_groups, k=k) for k in k_values]
         points += [SweepPoint(groups=size_groups[size]) for size in group_sizes]
         points += [SweepPoint(groups=base_groups, n_items=n) for n in item_counts]
-        results = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        results = environment.run_sweep(points, policy=policy)
         stats = [
             summarize_percent_sa([record.percent_sa for record in records])
             for records in results

@@ -65,17 +65,15 @@ def run(
     environment: ScalabilityEnvironment | None = None,
     config: ScalabilityConfig | None = None,
     groups: Sequence[Sequence[int]] | None = None,
-    n_workers: int | None = None,
-    executor=None,
     policy=None,
 ) -> Figure6Result:
     """Regenerate Figure 6: one GRECA run per group per query period.
 
     The reuse layer shares each group's columnar preference substrate across
     all query periods, and the affinity inputs ride as period prefixes of one
-    full-timeline column set per group.  ``n_workers=`` / ``executor=`` (or
-    a bundled :class:`~repro.parallel.ExecutionPolicy` via ``policy=``)
-    batch the whole period sweep into a single sharded dispatch (serial
+    full-timeline column set per group.  A sharded
+    :class:`~repro.parallel.ExecutionPolicy` (``policy=``) batches the
+    whole period sweep into a single sharded dispatch (serial
     reference semantics by default).  A driver-owned environment is closed
     on the way out, exception or not, so no worker pool or ``/dev/shm``
     segment can leak mid-figure.
@@ -85,9 +83,7 @@ def run(
         points = [
             SweepPoint(groups=groups, period=period) for period in environment.timeline
         ]
-        per_period = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        per_period = environment.run_sweep(points, policy=policy)
 
         percent_sa: dict[int, AccessStats] = {}
         mean_accesses: dict[int, float] = {}

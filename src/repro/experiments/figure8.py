@@ -71,15 +71,12 @@ def run(
     environment: ScalabilityEnvironment | None = None,
     config: ScalabilityConfig | None = None,
     groups: Sequence[Sequence[int]] | None = None,
-    n_workers: int | None = None,
-    executor=None,
     policy=None,
 ) -> Figure8Result:
     """Regenerate Figure 8 on the shared substrate.
 
-    ``n_workers=`` / ``executor=`` (or a bundled
-    :class:`~repro.parallel.ExecutionPolicy` via ``policy=``) batch all
-    four consensus sweeps into one sharded dispatch (serial reference
+    A sharded :class:`~repro.parallel.ExecutionPolicy` (``policy=``)
+    batches all four consensus sweeps into one sharded dispatch (serial reference
     semantics by default); a driver-owned environment is closed on the way
     out, exception or not.
     """
@@ -88,9 +85,7 @@ def run(
         points = [
             SweepPoint(groups=groups, consensus=name) for name in CONSENSUS_FUNCTIONS
         ]
-        per_function = environment.run_sweep(
-            points, n_workers=n_workers, executor=executor, policy=policy
-        )
+        per_function = environment.run_sweep(points, policy=policy)
         percent_sa = {
             name: summarize_percent_sa([record.percent_sa for record in records])
             for name, records in zip(CONSENSUS_FUNCTIONS, per_function)

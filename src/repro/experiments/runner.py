@@ -9,7 +9,8 @@ Usage::
                                                        # scalability point under
                                                        # a time budget)
     python -m repro.experiments.runner --workers 4     # shard group evaluation
-                                                       # across 4 process workers
+                                                       # across a pool of 4 process
+                                                       # workers built per figure
                                                        # (bit-identical results)
     python -m repro.experiments.runner --workers 4 --executor persistent
                                                        # same, but one warm worker
@@ -29,11 +30,12 @@ Usage::
                                                        # but the column store spools
                                                        # to memory-mapped files
                                                        # instead of /dev/shm
-    python -m repro.experiments.runner --kernel fused  # same bit-identical results
-                                                       # on the batched numpy round
-                                                       # kernel (``numba`` opts into
-                                                       # the njit tier when the
-                                                       # kernels extra is installed)
+    python -m repro.experiments.runner --paper-scale --workers 4
+                                                       # the full MovieLens-1M-scale
+                                                       # substrate, serial vs sharded
+                                                       # (minutes); exits non-zero
+                                                       # unless the sharded records
+                                                       # are bit-identical
 
 Each experiment prints the same rows/series the paper reports (with the
 paper's own values alongside where they are known).  Quality experiments
@@ -62,11 +64,8 @@ from repro.parallel import (
     ExecutionPolicy,
     SupervisionPolicy,
     executor_names,
-    kernel_names,
-    resolve_policy,
     summarise_reports,
     validate_executor_name,
-    validate_kernel_name,
     validate_storage_name,
 )
 from repro.study.environment import build_study_environment
@@ -88,38 +87,23 @@ EXPERIMENTS = (
 def run_all(
     names: Iterable[str] | None = None,
     print_fn: Callable[[str], None] = print,
-    n_workers: int | None = None,
-    executor: str | None = None,
-    supervision: SupervisionPolicy | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> dict[str, object]:
     """Run the selected experiments (all of them by default) and print their tables.
 
     Returns a mapping from experiment name to its result object, so that the
     function is also usable programmatically (EXPERIMENTS.md was produced from
-    these results).  ``n_workers`` shards the group evaluations of the
-    figure 4-8 drivers across process workers (results are bit-identical to
-    the serial run); ``executor`` picks the backend (``serial``, ``process``,
-    ``persistent`` — a warm worker pool across the whole figure suite, paying
-    spawn and substrate shipment once — or ``supervised``, which adds
-    fault-tolerant dispatch on top of that warm pool and prints a recovery
-    summary at the end).  ``supervision`` overrides the supervised policy
-    (timeouts, retry budget).  ``storage`` picks the column-store backend
-    (``shm`` shared memory or ``mmap`` spool files).  ``kernel`` picks the
-    GRECA round-kernel tier every evaluation runs on (``reference``,
-    ``fused`` or, when the kernels extra is installed, ``numba`` — all
-    bit-identical).  All of these can arrive bundled as one
-    :class:`~repro.parallel.ExecutionPolicy` via ``policy=`` instead —
-    mixing the two spellings raises at the
-    :func:`~repro.parallel.resolve_policy` choice point, and unknown
-    executor, storage or kernel names raise :class:`ValueError` before
-    anything runs.
+    these results).  A sharded ``policy`` (:class:`~repro.parallel
+    .ExecutionPolicy`) shards the group evaluations of the figure 4-8
+    drivers across process workers (results are bit-identical to the serial
+    run): its executor picks the backend (``serial``, ``persistent`` — a
+    warm worker pool across the whole figure suite, paying spawn and
+    substrate shipment once — or ``supervised``, which adds fault-tolerant
+    dispatch on top of that warm pool and prints a recovery summary at the
+    end), its supervision tunes the supervised policy (timeouts, retry
+    budget) and its storage picks the column-store backend (``shm`` shared
+    memory or ``mmap`` spool files).
     """
-    policy = resolve_policy(
-        policy, n_workers=n_workers, executor=executor, storage=storage, kernel=kernel
-    )
     selected = list(names) if names else list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
@@ -141,11 +125,8 @@ def run_all(
         if scalability_env is None:
             print_fn("[setup] building the scalability environment (dataset, recommender)...")
             scalability_env = ScalabilityEnvironment()
-            if supervision is not None:
-                scalability_env.supervision = supervision
         return scalability_env
 
-    knobs = dict(policy=policy)
     try:
         for name in selected:
             print_fn(f"\n=== {name} ===")
@@ -158,15 +139,15 @@ def run_all(
             elif name == "figure3":
                 result = figure3.run(environment=study_environment())
             elif name == "figure4":
-                result = figure4.run(**knobs)
+                result = figure4.run(policy=policy)
             elif name == "figure5":
-                result = figure5.run(environment=scalability_environment(), **knobs)
+                result = figure5.run(environment=scalability_environment(), policy=policy)
             elif name == "figure6":
-                result = figure6.run(environment=scalability_environment(), **knobs)
+                result = figure6.run(environment=scalability_environment(), policy=policy)
             elif name == "figure7":
-                result = figure7.run(environment=scalability_environment(), **knobs)
+                result = figure7.run(environment=scalability_environment(), policy=policy)
             else:
-                result = figure8.run(environment=scalability_environment(), **knobs)
+                result = figure8.run(environment=scalability_environment(), policy=policy)
             results[name] = result
             print_fn(result.format_table())
         if scalability_env is not None and scalability_env.dispatch_reports:
@@ -203,8 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME",
         help="execution backend for sharded evaluation: one of "
         + ", ".join(executor_names())
-        + " (default: process when --workers is given; unknown names raise "
-        "ValueError at the single validation choice point)",
+        + " (default: a process pool built per call when --workers is given; "
+        "unknown names raise ValueError at the single validation choice point)",
     )
     parser.add_argument(
         "--storage",
@@ -216,14 +197,11 @@ def main(argv: list[str] | None = None) -> int:
         "unknown names raise ValueError at the single storage choice point",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="GRECA round-kernel tier every evaluation runs on: one of "
-        + ", ".join(kernel_names())
-        + " (default: reference; all tiers are bit-identical — the same "
-        "axis ExecutionPolicy(kernel=...) bundles programmatically; unknown "
-        "names raise ValueError at the single kernel choice point)",
+        "--paper-scale",
+        action="store_true",
+        help="run the full MovieLens-1M-scale substrate serially and sharded "
+        "(--workers N, default 4; minutes), print the comparison and exit "
+        "non-zero unless the sharded records are bit-identical to the serial ones",
     )
     parser.add_argument(
         "--serve",
@@ -253,6 +231,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers is not None and args.workers <= 0:
         raise SystemExit("--workers must be positive")
+    if args.paper_scale and (args.experiments or args.quick or args.serve):
+        raise SystemExit(
+            "--paper-scale does not combine with experiment names, --quick or --serve"
+        )
     if args.serve:
         if args.experiments or args.quick:
             raise SystemExit("--serve does not combine with experiment names or --quick")
@@ -267,18 +249,14 @@ def main(argv: list[str] | None = None) -> int:
             forwarded += ["--executor", args.executor]
         if args.storage is not None:
             forwarded += ["--storage", args.storage]
-        if args.kernel is not None:
-            forwarded += ["--kernel", args.kernel]
         return service_main(forwarded)
     if args.storage is not None:
         # The single storage choice point (repro.parallel.storage
         # .validate_storage_name): unknown backends fail here, not deep
         # inside an export.
         validate_storage_name(args.storage)
-    if args.kernel is not None:
-        # The single kernel choice point (repro.core.kernels
-        # .validate_kernel_name): unknown tiers fail here, not mid-run.
-        validate_kernel_name(args.kernel)
+    if args.paper_scale and args.workers is None:
+        args.workers = 4
     if args.executor is not None:
         # The single choice point (repro.parallel.pool.validate_executor_name):
         # unknown backends fail here, not deep inside evaluate_tasks.
@@ -303,27 +281,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         print("\n".join(EXPERIMENTS))
         return 0
+    policy = None
+    if args.workers is not None or args.executor is not None or args.storage is not None:
+        policy = ExecutionPolicy(
+            n_workers=args.workers,
+            executor=args.executor,
+            supervision=supervision,
+            storage=args.storage,
+        )
+    if args.paper_scale:
+        from repro.experiments.scalability import run_paper_scale
+
+        result = run_paper_scale(policy=policy)
+        print(result.format_summary())
+        return 0 if result.identical else 1
     if args.quick:
         if args.experiments:
             raise SystemExit("--quick does not combine with experiment names")
         from repro.experiments.scalability import run_quick_smoke
 
-        result = run_quick_smoke(
-            n_workers=args.workers,
-            executor=args.executor,
-            storage=args.storage,
-            kernel=args.kernel,
-        )
+        result = run_quick_smoke(policy=policy)
         print(result.format_summary())
         return 0 if result.within_budget else 1
-    run_all(
-        args.experiments or None,
-        n_workers=args.workers,
-        executor=args.executor,
-        supervision=supervision,
-        storage=args.storage,
-        kernel=args.kernel,
-    )
+    run_all(args.experiments or None, policy=policy)
     return 0
 
 

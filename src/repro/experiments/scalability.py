@@ -24,26 +24,18 @@ the reuse layer is proven bit-identical to per-point construction by
 
 Group evaluation is embarrassingly parallel — every figure averages over
 independent groups sharing a read-only substrate — so the measurement
-methods accept ``n_workers=`` / ``executor=`` knobs routing the runs through
-:mod:`repro.parallel`: tasks are sharded across process workers, each worker
-receives the memoised per-group factories of its shard (pickled once per
-shard, never rebuilt), and the per-shard records merge back deterministically
-in group order.  Serial stays the default and the reference semantics;
-``tests/test_parallel_equivalence.py`` proves the sharded path bit-identical
-to it.  :func:`run_paper_scale` drives the full Table 5-scale substrate
-(:meth:`ScalabilityConfig.paper_scale`) through that layer.
-
-Every measurement method also takes the bundled spelling — ``policy=``, an
-:class:`~repro.parallel.ExecutionPolicy` — resolved against the legacy
-keywords at the single :func:`~repro.parallel.resolve_policy` choice point
-(mixing the two spellings raises).  The policy's ``storage`` axis selects
-which column-store backend the environment's registry exports into
+methods accept a ``policy=`` (:class:`~repro.parallel.ExecutionPolicy`)
+routing the runs through :mod:`repro.parallel`: tasks are sharded across
+process workers, each worker receives the memoised per-group factories of
+its shard (exported to the column store once, never rebuilt), and the
+per-shard records merge back deterministically in group order.  Serial stays
+the default and the reference semantics; ``tests/test_parallel_equivalence.py``
+proves the sharded path bit-identical to it.  The policy's ``storage`` axis
+selects which column-store backend the environment's registry exports into
 (``"shm"`` shared memory or ``"mmap"`` spool files); the environment keeps
-one registry per backend so both can serve dispatches side by side.  The
-``kernel`` axis selects the GRECA round-kernel tier
-(:mod:`repro.core.kernels`) every run — serial or worker-side — executes
-on; all registered kernels are bit-identical, so it is purely a
-performance knob.
+one registry per backend so both can serve dispatches side by side.
+:func:`run_paper_scale` drives the full Table 5-scale substrate
+(:meth:`ScalabilityConfig.paper_scale`) through that layer.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import Iterator, Sequence
 
@@ -90,7 +82,7 @@ from repro.parallel import (
     group_key,
     record_from_result,
     resolve_executor,
-    resolve_policy,
+    run_task,
 )
 
 #: Paper defaults (Section 4.2, "Experiment Settings").
@@ -135,7 +127,7 @@ class ScalabilityConfig:
         20 random groups of 6 over 48 study-scale participants.  Building
         this environment takes on the order of a minute (dataset generation
         plus CF fitting), which is why it lives behind an explicit preset —
-        the sharded paper-scale bench (``scripts/bench_engine.py
+        the sharded paper-scale run (``python -m repro.experiments.runner
         --paper-scale``) and the slow MovieLens scale test are its users.
         """
         return cls(
@@ -374,7 +366,7 @@ class ScalabilityEnvironment:
 
     def _resolve_backend(
         self, executor: ShardExecutor | str | None, n_workers: int | None
-    ) -> ShardExecutor:
+    ) -> tuple[ShardExecutor, bool]:
         """Resolve ``executor=`` — routing ``"persistent"`` to the warm pool.
 
         ``"supervised"`` wraps the warm pool in a fresh
@@ -382,17 +374,20 @@ class ScalabilityEnvironment:
         wrapper per call (wrappers are cheap and stateless between runs)
         around the memoised pool, so supervised dispatches still reuse warm
         workers and survive :meth:`close` (the next call re-wraps whatever
-        pool the environment then holds).
+        pool the environment then holds).  Returns the backend and whether
+        it was built for this call alone (and must be shut down after it).
         """
         if executor == EXECUTOR_PERSISTENT:
-            return self._persistent_pool(n_workers)
+            return self._persistent_pool(n_workers), False
         if executor == EXECUTOR_SUPERVISED:
-            return SupervisedDispatch(
+            supervised = SupervisedDispatch(
                 self._persistent_pool(n_workers),
                 policy=self.supervision,
                 owns_executor=False,
             )
-        return resolve_executor(executor, n_workers)
+            return supervised, False
+        backend = resolve_executor(executor, n_workers)
+        return backend, backend is not executor
 
     def close(self) -> None:
         """Release parallel resources: shut pools down, unlink shm segments.
@@ -657,10 +652,9 @@ class ScalabilityEnvironment:
         """Pre-built GRECA indexes for the default benchmark point.
 
         One index per default random group, discrete affinity model, full
-        catalogue.  The perf gate (:func:`run_quick_smoke`), the recorded
-        trajectory (``scripts/bench_engine.py``) and the engine benchmark
-        (``benchmarks/test_bench_engine.py``) all measure exactly this
-        workload, so it is defined in one place.
+        catalogue.  The perf gate (:func:`run_quick_smoke`) and the engine
+        benchmark (``benchmarks/test_bench_engine.py``) both measure exactly
+        this workload, so it is defined in one place.
         """
         return [self.cached_index(group) for group in self.random_groups()]
 
@@ -681,12 +675,11 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        kernel: str | None = None,
     ) -> float:
         """%SA of one GRECA run for one group (index built through the reuse layer)."""
         consensus_fn = self._consensus_fn(consensus)
         index = self.cached_index(group, period=period, affinity=affinity, n_items=n_items)
-        result = Greca(consensus_fn, k=k or self.config.k, kernel=kernel).run(index)
+        result = Greca(consensus_fn, k=k or self.config.k).run(index)
         return result.percent_sequential_accesses
 
     def task_for(
@@ -697,8 +690,6 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        columnar: bool = True,
-        kernel: str | None = None,
     ) -> GroupEvalTask:
         """Materialise one sweep point as a shippable :class:`GroupEvalTask`.
 
@@ -706,14 +697,10 @@ class ScalabilityEnvironment:
         the query period, the affinity inputs, the restricted item tuple —
         and warms the group's factory in the (memoised) factory cache, so
         dispatching the task ships the cached factory instead of rebuilding
-        the preference substrate per worker.
-
-        By default the affinity inputs ride as a reference to the group's
-        memoised full-timeline :meth:`affinity_columns` plus the query
-        period's prefix length — the shape the shared-memory shipment turns
-        into pure descriptors.  ``columnar=False`` materialises the PR 3/4
-        per-task dictionaries instead (the by-value reference shape;
-        bit-identical results either way).
+        the preference substrate per worker.  The affinity inputs ride as a
+        reference to the group's memoised full-timeline
+        :meth:`affinity_columns` plus the query period's prefix length — the
+        shape descriptor shipment turns into a few column-store handles.
         """
         if period is None and self.timeline is not None:
             period = self.timeline.current
@@ -721,36 +708,15 @@ class ScalabilityEnvironment:
         items = (
             tuple(self.ratings.items[: int(n_items)]) if n_items is not None else None
         )
-        common = dict(
+        columns, time_model = self.affinity_columns(group, affinity)
+        return GroupEvalTask(
             group=group_key(group),
             k=int(k or self.config.k),
             consensus=self._consensus_fn(consensus),
-            items=items,
-            kernel=kernel,
-        )
-        if columnar:
-            columns, time_model = self.affinity_columns(group, affinity)
-            n_periods = (
-                self.timeline.index_of(period) + 1 if columns.n_periods else 0
-            )
-            return GroupEvalTask(
-                static={},
-                periodic={},
-                averages={},
-                time_model=time_model,
-                affinity_ref=columns,
-                n_periods=n_periods,
-                **common,
-            )
-        static, periodic, averages, time_model = self.recommender.affinity_components(
-            list(group), period=period, affinity=affinity
-        )
-        return GroupEvalTask(
-            static=static,
-            periodic=periodic,
-            averages=averages,
+            affinity_ref=columns,
+            n_periods=self.timeline.index_of(period) + 1 if columns.n_periods else 0,
             time_model=time_model,
-            **common,
+            items=items,
         )
 
     @property
@@ -761,73 +727,39 @@ class ScalabilityEnvironment:
     def evaluate(
         self,
         tasks: Sequence[GroupEvalTask],
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        supervision: SupervisionPolicy | bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        shipment: str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> list[GroupRunRecord]:
         """Evaluate materialised tasks, serially or through the sharded layer.
 
-        Without parallel knobs the tasks run in-process in task order through
-        the same ``factory.build`` + :class:`Greca` path the workers use —
-        the serial reference semantics.  With ``n_workers`` (and/or an
-        explicit ``executor``: ``"serial"``, ``"process"``, ``"persistent"``
-        or an instance) the tasks are partitioned into shards, each worker
-        receives its shard's group factories — by zero-copy descriptor for
-        the process-crossing backends, the environment's registry owning the
-        segments — and the per-shard records are merged back
-        deterministically in task order, bit-identical to the serial run
-        (``tests/test_parallel_equivalence.py``).
+        Under the default (serial) policy the tasks run in-process in task
+        order through the same ``factory.build_columns`` + :class:`Greca`
+        path the workers use — the serial reference semantics.  A policy
+        with ``n_workers`` (and/or an ``executor``: ``"serial"``,
+        ``"persistent"``, ``"supervised"`` or an instance) partitions the
+        tasks into shards, each worker receives its shard's group factories
+        — by zero-copy descriptor for the process-crossing backends, the
+        environment's registry owning the segments — and the per-shard
+        records are merged back deterministically in task order,
+        bit-identical to the serial run (``tests/test_parallel_equivalence.py``).
         ``executor="persistent"`` reuses one warm worker pool per worker
-        count across calls (released by :meth:`close`).
+        count across calls (released by :meth:`close`);
         ``executor="supervised"`` adds the fault-tolerant dispatch tier on
         top of that warm pool, under this environment's :attr:`supervision`
-        policy; each supervised dispatch appends its
+        policy.  Each supervised dispatch appends its
         :class:`~repro.parallel.DispatchReport` to :attr:`dispatch_reports`.
-        A ``supervision=`` policy (or ``True``) supervises any parallel
-        backend for this call, and ``fault_plan=`` injects deterministic
-        faults (the chaos suite's hook).  Serial evaluation ignores both.
-        ``storage=`` selects the column-store backend descriptor shipment
-        exports into (``"shm"`` shared memory — the default — or ``"mmap"``
-        spool files); the environment keeps one registry per backend.
-        ``kernel=`` selects the round-kernel tier every run executes on; a
-        policy kernel is stamped onto tasks that do not already carry their
-        own, so serial runs and warm-pool workers honour it alike.
-
-        All dispatch knobs can arrive bundled as ``policy=``
-        (:class:`~repro.parallel.ExecutionPolicy`); mixing ``policy=`` with
-        the loose keywords raises at the :func:`~repro.parallel
-        .resolve_policy` choice point.  ``fault_plan`` stays a separate
-        argument — it describes the test harness, not the execution shape.
+        A policy ``supervision`` (or ``True``) supervises any parallel
+        backend, ``storage`` selects the column-store backend descriptors
+        point into (the environment keeps one registry per backend), and
+        ``fault_plan=`` injects deterministic faults (the chaos suite's
+        hook).  Serial evaluation ignores the last three.
         """
-        policy = resolve_policy(
-            policy,
-            n_workers=n_workers,
-            executor=executor,
-            shipment=shipment,
-            supervision=supervision,
-            storage=storage,
-            kernel=kernel,
-        )
-        if policy.kernel is not None:
-            # The policy's kernel travels inside each task (that is what warm
-            # persistent-pool workers read); tasks carrying an explicit
-            # kernel of their own keep it.
-            tasks = [
-                task if task.kernel is not None else replace(task, kernel=policy.kernel)
-                for task in tasks
-            ]
+        policy = policy or ExecutionPolicy()
         if policy.is_serial:
-            from repro.parallel.worker import run_task
-
             return [run_task(task, self.index_factory(task.group)) for task in tasks]
         for task in tasks:  # warm any factory not already memoised by task_for
             self.index_factory(task.group)
-        backend = self._resolve_backend(policy.executor, policy.n_workers)
+        backend, owned = self._resolve_backend(policy.executor, policy.n_workers)
         # Process-crossing backends ship zero-copy: the environment-owned
         # registry for the policy's storage backend places each memoised
         # factory's arrays in its column store once, and every dispatch
@@ -844,18 +776,21 @@ class ScalabilityEnvironment:
         # "dictionary changed size during iteration" mid-dispatch.
         with self._state_lock:
             factories = dict(self._index_factories)
-        return evaluate_tasks(
-            tasks,
-            factories,
-            n_shards=policy.n_workers,
-            executor=backend,
-            shipment=policy.shipment,
-            registry=registry,
-            storage=policy.storage,
-            supervision=policy.supervision,
-            fault_plan=fault_plan,
-            reports=self.dispatch_reports,
-        )
+        try:
+            return evaluate_tasks(
+                tasks,
+                factories,
+                n_shards=policy.n_workers,
+                executor=backend,
+                registry=registry,
+                storage=policy.storage,
+                supervision=policy.supervision,
+                fault_plan=fault_plan,
+                reports=self.dispatch_reports,
+            )
+        finally:
+            if owned and isinstance(backend, PersistentShardExecutor):
+                backend.shutdown()
 
     def run_records(
         self,
@@ -865,33 +800,18 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        supervision: SupervisionPolicy | bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        shipment: str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> list[GroupRunRecord]:
         """One GRECA run record per group, in group order.
 
         Serial (the default) goes through :meth:`cached_index`, so repeated
-        sweep points reuse finished index objects outright; the sharded path
-        (``n_workers=`` / ``executor=``, or a bundled ``policy=``) ships
-        each shard the memoised factories of its groups and rebuilds the
-        per-point indexes worker-side — a bit-identical computation by the
-        reuse layer's equivalence guarantee.
+        sweep points reuse finished index objects outright; a sharded
+        ``policy=`` ships each shard the memoised factories of its groups
+        and rebuilds the per-point indexes worker-side — a bit-identical
+        computation by the reuse layer's equivalence guarantee.
         """
-        policy = resolve_policy(
-            policy,
-            n_workers=n_workers,
-            executor=executor,
-            shipment=shipment,
-            supervision=supervision,
-            storage=storage,
-            kernel=kernel,
-        )
+        policy = policy or ExecutionPolicy()
         if policy.is_serial:
             consensus_fn = self._consensus_fn(consensus)
             records = []
@@ -899,9 +819,7 @@ class ScalabilityEnvironment:
                 index = self.cached_index(
                     group, period=period, affinity=affinity, n_items=n_items
                 )
-                result = Greca(
-                    consensus_fn, k=k or self.config.k, kernel=policy.kernel
-                ).run(index)
+                result = Greca(consensus_fn, k=k or self.config.k).run(index)
                 records.append(record_from_result(group_key(group), result))
             return records
         tasks = [
@@ -912,7 +830,6 @@ class ScalabilityEnvironment:
                 affinity=affinity,
                 period=period,
                 n_items=n_items,
-                columnar=policy.columnar,
             )
             for group in groups
         ]
@@ -921,20 +838,14 @@ class ScalabilityEnvironment:
     def run_sweep(
         self,
         points: Sequence[SweepPoint],
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        supervision: SupervisionPolicy | bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        shipment: str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> list[list[GroupRunRecord]]:
         """Evaluate many sweep points; one record list per point, in point order.
 
         Serial (the default) runs each point through :meth:`run_records` —
-        the reference semantics, reusing finished indexes outright.  With
-        parallel knobs every point's tasks are materialised up front and
+        the reference semantics, reusing finished indexes outright.  Under a
+        sharded ``policy=`` every point's tasks are materialised up front and
         **batched into one dispatch**: tasks are ordered group-major (so a
         contiguous shard plan ships each group's factory — and its affinity
         columns — to as few shards as possible, one payload per (shard,
@@ -944,15 +855,7 @@ class ScalabilityEnvironment:
         dispatch per point.  Records are bit-identical to the per-point
         serial runs (``tests/test_parallel_equivalence.py``).
         """
-        policy = resolve_policy(
-            policy,
-            n_workers=n_workers,
-            executor=executor,
-            shipment=shipment,
-            supervision=supervision,
-            storage=storage,
-            kernel=kernel,
-        )
+        policy = policy or ExecutionPolicy()
         if policy.is_serial:
             return [
                 self.run_records(
@@ -962,7 +865,6 @@ class ScalabilityEnvironment:
                     affinity=point.affinity,
                     period=point.period,
                     n_items=point.n_items,
-                    kernel=policy.kernel,
                 )
                 for point in points
             ]
@@ -976,7 +878,6 @@ class ScalabilityEnvironment:
                     affinity=point.affinity,
                     period=point.period,
                     n_items=point.n_items,
-                    columnar=policy.columnar,
                 )
                 entries.append((task.group, point_index, position, task))
         entries.sort(key=lambda entry: entry[:3])
@@ -998,18 +899,14 @@ class ScalabilityEnvironment:
         affinity: str = "discrete",
         period: Period | None = None,
         n_items: int | None = None,
-        n_workers: int | None = None,
-        executor: ShardExecutor | str | None = None,
-        storage: str | None = None,
-        kernel: str | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> AccessStats:
         """Average %SA over a collection of groups (one GRECA run each).
 
-        ``n_workers=`` / ``executor=`` (or a bundled ``policy=``) route the
-        runs through the sharded layer; the per-group %SA values are merged
-        back in group order before averaging, so the reported mean and
-        standard error are bit-identical to the serial run.
+        A sharded ``policy=`` routes the runs through the sharded layer; the
+        per-group %SA values are merged back in group order before
+        averaging, so the reported mean and standard error are bit-identical
+        to the serial run.
         """
         records = self.run_records(
             groups,
@@ -1018,13 +915,7 @@ class ScalabilityEnvironment:
             affinity=affinity,
             period=period,
             n_items=n_items,
-            policy=resolve_policy(
-                policy,
-                n_workers=n_workers,
-                executor=executor,
-                storage=storage,
-                kernel=kernel,
-            ),
+            policy=policy,
         )
         return summarize_percent_sa([record.percent_sa for record in records])
 
@@ -1102,10 +993,6 @@ def run_quick_smoke(
     total_budget: float = QUICK_SMOKE_TOTAL_BUDGET,
     measure_budget: float = QUICK_SMOKE_MEASURE_BUDGET,
     config: ScalabilityConfig | None = None,
-    n_workers: int | None = None,
-    executor: ShardExecutor | str | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> QuickSmokeResult:
     """Run one default scalability point under a wall-clock budget.
@@ -1118,15 +1005,14 @@ def run_quick_smoke(
     :attr:`QuickSmokeResult.within_budget` is ``False``.
 
     Serial (the default, and what the budgets are calibrated against)
-    measures the engine alone over pre-built indexes.  With ``n_workers=``
-    the measured phase instead routes the same groups through the sharded
-    layer, so it additionally covers shard planning, factory shipment and the
-    order-restoring merge — the statistics are bit-identical either way.
+    measures the engine alone over pre-built indexes.  Under a sharded
+    ``policy=`` the measured phase instead routes the same groups through the
+    sharded layer, so it additionally covers shard planning, factory shipment
+    and the order-restoring merge — the statistics are bit-identical either
+    way.
     """
     start = time.perf_counter()
-    policy = resolve_policy(
-        policy, n_workers=n_workers, executor=executor, storage=storage, kernel=kernel
-    )
+    policy = policy or ExecutionPolicy()
     environment = ScalabilityEnvironment(config)
     try:
         return _run_quick_smoke(
@@ -1163,10 +1049,7 @@ def _run_quick_smoke(
         # phase is exactly what BENCH_engine.json tracks (list build +
         # algorithm + result).
         start = time.perf_counter()
-        results = [
-            Greca(consensus, k=environment.config.k, kernel=policy.kernel).run(index)
-            for index in indexes
-        ]
+        results = [Greca(consensus, k=environment.config.k).run(index) for index in indexes]
         measure_seconds = time.perf_counter() - start
         values = [result.percent_sequential_accesses for result in results]
     else:
@@ -1237,40 +1120,35 @@ class PaperScaleResult:
 
 
 def run_paper_scale(
-    n_workers: int = 4,
-    executor: ShardExecutor | str | None = None,
+    policy: ExecutionPolicy | None = None,
     config: ScalabilityConfig | None = None,
     environment: ScalabilityEnvironment | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
 ) -> PaperScaleResult:
     """Run the full MovieLens-1M-scale substrate through the sharded path.
 
     Builds the :meth:`ScalabilityConfig.paper_scale` environment (unless one
     is supplied), materialises the all-periods × all-groups task list once,
     then times the serial reference evaluation against one sharded dispatch
-    at ``n_workers`` shards and verifies the merged records are
-    bit-identical.  ``scripts/bench_engine.py --paper-scale`` appends the
-    outcome to ``BENCH_engine.json``.
+    under ``policy`` (default: 4 workers) and verifies the merged records
+    are bit-identical.  ``python -m repro.experiments.runner --paper-scale``
+    prints the outcome.
     """
     start = time.perf_counter()
+    policy = policy or ExecutionPolicy(n_workers=4)
+    if policy.n_workers is None:
+        raise ConfigurationError("run_paper_scale needs a policy with n_workers")
     owns_environment = environment is None
     if environment is None:
         environment = ScalabilityEnvironment(config or ScalabilityConfig.paper_scale())
     try:
-        return _run_paper_scale(environment, start, n_workers, executor, storage, kernel)
+        return _run_paper_scale(environment, start, policy)
     finally:
         if owns_environment:
             environment.close()
 
 
 def _run_paper_scale(
-    environment: ScalabilityEnvironment,
-    start: float,
-    n_workers: int,
-    executor: ShardExecutor | str | None,
-    storage: str | None = None,
-    kernel: str | None = None,
+    environment: ScalabilityEnvironment, start: float, policy: ExecutionPolicy
 ) -> PaperScaleResult:
     groups = environment.random_groups()
     periods = list(environment.timeline)
@@ -1285,13 +1163,11 @@ def _run_paper_scale(
     setup_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    serial_records = environment.evaluate(tasks, kernel=kernel)
+    serial_records = environment.evaluate(tasks)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded_records = environment.evaluate(
-        tasks, n_workers=n_workers, executor=executor, storage=storage, kernel=kernel
-    )
+    sharded_records = environment.evaluate(tasks, policy=policy)
     sharded_seconds = time.perf_counter() - start
 
     stats = summarize_percent_sa([record.percent_sa for record in sharded_records])
@@ -1300,7 +1176,7 @@ def _run_paper_scale(
         serial_seconds=serial_seconds,
         sharded_seconds=sharded_seconds,
         setup_seconds=setup_seconds,
-        n_workers=n_workers,
+        n_workers=policy.n_workers,
         n_tasks=len(tasks),
         n_groups=len(groups),
         n_periods=len(periods),

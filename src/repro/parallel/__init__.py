@@ -8,19 +8,18 @@ keeping the serial semantics bit-exact:
 * :mod:`repro.parallel.sharding` — deterministic shard planning (any
   partition of the task indices is a valid plan);
 * :mod:`repro.parallel.worker` — picklable task/record/payload types and the
-  worker-side loop (``factory.build`` + ``Greca.run`` per task);
+  worker-side loop (``factory.build_columns`` + ``Greca.run`` per task);
 * :mod:`repro.parallel.shm` — zero-copy shared-memory shipment: the factory
   substrate's large arrays live in ``multiprocessing.shared_memory``
   segments owned by a context-managed :class:`SharedArrayRegistry`
   (unlink-on-exit guaranteed), and payloads carry only
   ``(segment, shape, dtype, offset)`` descriptors that workers reattach;
-* :mod:`repro.parallel.pool` — the ``serial`` (in-process), ``process``
-  (pool-per-call) and ``persistent`` (warm pool reused across dispatches)
-  shard executors, plus the single :class:`ValueError` choice point for
-  ``executor=`` strings;
+* :mod:`repro.parallel.pool` — the ``serial`` (in-process) and
+  ``persistent`` (warm pool reused across dispatches) shard executors, plus
+  the single :class:`ValueError` choice point for ``executor=`` strings;
 * :mod:`repro.parallel.merge` — order-restoring merge of per-shard records;
 * :mod:`repro.parallel.evaluation` — the :func:`evaluate_tasks` pipeline
-  gluing them together (shm shipment by default whenever payloads cross a
+  gluing them together (descriptor shipment whenever payloads cross a
   process boundary);
 * :mod:`repro.parallel.resilience` — the ``supervised`` fault-tolerant
   dispatch tier: :class:`SupervisedDispatch` wraps any executor with
@@ -33,37 +32,22 @@ keeping the serial semantics bit-exact:
   the out-of-core alternative to ``/dev/shm``, selected per registry and
   spilled to automatically past a configurable shm budget;
 * :mod:`repro.parallel.policy` — :class:`ExecutionPolicy`, the one frozen
-  bundle of every dispatch knob (``n_workers`` / ``executor`` /
-  ``shipment`` / ``supervision`` / ``columnar`` / ``storage`` /
-  ``kernel``), resolved against the legacy keyword spellings at a single
-  choice point (:func:`resolve_policy`).  The ``kernel`` knob selects the
-  GRECA round-kernel tier (:mod:`repro.core.kernels`) each worker runs;
-  :func:`repro.core.kernels.validate_kernel_name` is re-exported here
-  beside its executor/storage siblings.
+  bundle of the dispatch knobs (``n_workers`` / ``executor`` /
+  ``supervision`` / ``storage``).
 
 Serial execution remains the reference semantics everywhere: the sharded
 path must (and, per ``tests/test_parallel_equivalence.py``, does) reproduce
 the serial records — access counts, %SA values, top-k items, stopping
-reasons — bit-for-bit for every shard count, every partition, every backend
-and both shipment modes.
+reasons — bit-for-bit for every shard count, every partition and every
+backend.
 """
 
-from repro.core.kernels import (
-    KERNEL_FUSED,
-    KERNEL_NUMBA,
-    KERNEL_REFERENCE,
-    kernel_names,
-    validate_kernel_name,
-)
 from repro.parallel.evaluation import build_payloads, evaluate_tasks
 from repro.parallel.merge import merge_shard_records
 from repro.parallel.pool import (
     EXECUTOR_PERSISTENT,
-    EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
-    PersistentPool,
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
     available_cpus,
@@ -84,12 +68,9 @@ from repro.parallel.resilience import (
     fault_plan_from_env,
     summarise_reports,
 )
-from repro.parallel.policy import ExecutionPolicy, resolve_policy
+from repro.parallel.policy import ExecutionPolicy
 from repro.parallel.sharding import ShardPlan, plan_shards
 from repro.parallel.shm import (
-    SHIPMENT_PICKLE,
-    SHIPMENT_SHM,
-    VALID_SHIPMENTS,
     SharedArrayRegistry,
     SharedArraySpec,
     ShmAffinityHandle,
@@ -121,7 +102,6 @@ from repro.parallel.worker import (
 __all__ = [
     "DispatchReport",
     "EXECUTOR_PERSISTENT",
-    "EXECUTOR_PROCESS",
     "EXECUTOR_SERIAL",
     "EXECUTOR_SUPERVISED",
     "ExecutionPolicy",
@@ -129,15 +109,8 @@ __all__ = [
     "FaultSpec",
     "GroupEvalTask",
     "GroupRunRecord",
-    "KERNEL_FUSED",
-    "KERNEL_NUMBA",
-    "KERNEL_REFERENCE",
     "MappedFileSegment",
-    "PersistentPool",
     "PersistentShardExecutor",
-    "ProcessShardExecutor",
-    "SHIPMENT_PICKLE",
-    "SHIPMENT_SHM",
     "STORAGE_MMAP",
     "STORAGE_SHM",
     "SerialShardExecutor",
@@ -152,10 +125,7 @@ __all__ = [
     "SpoolDirectory",
     "SupervisedDispatch",
     "SupervisionPolicy",
-    "VALID_EXECUTORS",
     "VALID_FAULT_MODES",
-    "VALID_KERNELS",
-    "VALID_SHIPMENTS",
     "VALID_STORAGES",
     "attach_array",
     "available_cpus",
@@ -164,7 +134,6 @@ __all__ = [
     "executor_names",
     "fault_plan_from_env",
     "group_key",
-    "kernel_names",
     "materialise_affinity",
     "materialise_factory",
     "merge_shard_records",
@@ -173,22 +142,10 @@ __all__ = [
     "register_executor",
     "resolve_executor",
     "resolve_factory",
-    "resolve_policy",
     "run_shard",
     "run_task",
     "summarise_reports",
     "validate_executor_name",
-    "validate_kernel_name",
     "validate_storage_name",
 ]
 
-
-def __getattr__(name: str):
-    # ``VALID_EXECUTORS``/``VALID_KERNELS`` are registry-derived; resolving
-    # them lazily means they always reflect every registered backend,
-    # including ones registered after this package was imported.
-    if name == "VALID_EXECUTORS":
-        return executor_names()
-    if name == "VALID_KERNELS":
-        return kernel_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

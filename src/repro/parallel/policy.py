@@ -1,62 +1,40 @@
-"""One frozen :class:`ExecutionPolicy` for the dispatch knob sprawl.
+"""One frozen :class:`ExecutionPolicy` for every dispatch knob.
 
-Eight PRs grew the parallel layer one keyword at a time: ``n_workers=`` /
-``executor=`` (PR 3), ``shipment=`` (PR 4), ``columnar=`` (PR 5),
-``supervision=`` (PR 6), ``storage=`` (PR 9) and now ``kernel=``
-(PR 10).  Every entry point —
+Every entry point that can fan out —
 ``ScalabilityEnvironment.evaluate`` / ``run_records`` / ``run_sweep`` /
 ``average_percent_sa``, the figure drivers, the runner and
-``ServiceConfig`` — threads the same bundle, so this module collapses it
-into a single frozen dataclass with one validation/resolution choice point:
-
-* :class:`ExecutionPolicy` — the bundle, validated on construction through
-  the same registries the loose knobs used (``pool.validate_executor_name``,
-  ``shm.VALID_SHIPMENTS``, ``storage.validate_storage_name``,
-  ``kernels.validate_kernel_name``).
-* :func:`resolve_policy` — the back-compat shim every entry point calls:
-  legacy keywords still work exactly as before, ``policy=`` supersedes
-  them, and *mixing the two spellings is an error* (silently preferring one
-  would hide a conflicting intent).
+``ServiceConfig`` — takes the same four knobs as one ``policy=`` bundle,
+validated once on construction through the same registries the CLI flags
+use (``pool.validate_executor_name``, ``storage.validate_storage_name``).
 
 The default policy is the serial reference semantics (no workers, no
-executor), mirroring the behaviour every entry point has always had when
-called without knobs.
+executor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.kernels import KERNEL_REFERENCE, validate_kernel_name
 from repro.exceptions import ConfigurationError
 from repro.parallel.pool import ShardExecutor, validate_executor_name
 from repro.parallel.resilience import SupervisionPolicy
-from repro.parallel.shm import VALID_SHIPMENTS
 from repro.parallel.storage import STORAGE_SHM, validate_storage_name
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How one dispatch runs: workers, backend, shipment, supervision, storage.
+    """How one dispatch runs: workers, backend, supervision, storage.
 
-    ``None`` fields keep their historical defaults downstream: no workers
-    and no executor mean the serial reference path, ``shipment=None``
-    defaults per backend (descriptor shipment when the backend ships
-    payloads to other processes), ``storage=None`` means shared memory,
-    ``supervision=None`` means whatever the executor itself provides, and
-    ``kernel=None`` means the reference round kernel (every registered
-    kernel is bit-identical, so this is a pure performance knob).
-    ``columnar`` selects descriptor-ready affinity columns when tasks are
-    materialised (the PR 5 default).
+    ``None`` fields keep their defaults downstream: no workers and no
+    executor mean the serial reference path, ``storage=None`` means shared
+    memory, and ``supervision=None`` means whatever the executor itself
+    provides.
     """
 
     n_workers: int | None = None
     executor: str | ShardExecutor | None = None
-    shipment: str | None = None
     supervision: SupervisionPolicy | bool | None = None
-    columnar: bool = True
     storage: str | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers is not None and self.n_workers < 1:
@@ -70,15 +48,8 @@ class ExecutionPolicy:
                 "executor must be a backend name or a ShardExecutor instance, "
                 f"got {type(self.executor).__name__}"
             )
-        if self.shipment is not None and self.shipment not in VALID_SHIPMENTS:
-            valid = ", ".join(repr(name) for name in VALID_SHIPMENTS)
-            raise ValueError(
-                f"unknown shipment {self.shipment!r}: valid shipments are {valid}"
-            )
         if self.storage is not None:
             validate_storage_name(self.storage)
-        if self.kernel is not None:
-            validate_kernel_name(self.kernel)
         if self.supervision is not None and not isinstance(
             self.supervision, (SupervisionPolicy, bool)
         ):
@@ -96,61 +67,3 @@ class ExecutionPolicy:
     def storage_name(self) -> str:
         """The effective storage backend (default: shared memory)."""
         return self.storage or STORAGE_SHM
-
-    @property
-    def kernel_name(self) -> str:
-        """The effective round kernel (default: the reference tier)."""
-        return self.kernel or KERNEL_REFERENCE
-
-
-def resolve_policy(
-    policy: ExecutionPolicy | None = None,
-    *,
-    n_workers: int | None = None,
-    executor: str | ShardExecutor | None = None,
-    shipment: str | None = None,
-    supervision: SupervisionPolicy | bool | None = None,
-    columnar: bool | None = None,
-    storage: str | None = None,
-    kernel: str | None = None,
-) -> ExecutionPolicy:
-    """The single resolution choice point behind every ``policy=`` entry point.
-
-    Legacy keyword spellings are folded into a fresh :class:`ExecutionPolicy`
-    (validating them exactly as the policy constructor does); an explicit
-    ``policy=`` is returned as-is.  Passing both spellings at once raises —
-    the caller's intent would be ambiguous.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("n_workers", n_workers),
-            ("executor", executor),
-            ("shipment", shipment),
-            ("supervision", supervision),
-            ("columnar", columnar),
-            ("storage", storage),
-            ("kernel", kernel),
-        )
-        if value is not None
-    }
-    if policy is not None:
-        if not isinstance(policy, ExecutionPolicy):
-            raise ConfigurationError(
-                f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
-            )
-        if legacy:
-            spelt = ", ".join(sorted(legacy))
-            raise ConfigurationError(
-                f"pass either policy= or the legacy keywords ({spelt}), not both"
-            )
-        return policy
-    return ExecutionPolicy(
-        n_workers=n_workers,
-        executor=executor,
-        shipment=shipment,
-        supervision=supervision,
-        columnar=True if columnar is None else columnar,
-        storage=storage,
-        kernel=kernel,
-    )

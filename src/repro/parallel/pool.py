@@ -1,6 +1,6 @@
 """Shard executors: where (and how) shard payloads actually run.
 
-Three concrete executors share one tiny interface — a list of
+Two concrete executors share one tiny interface — a list of
 :class:`~repro.parallel.worker.ShardPayload` values in, one record tuple per
 shard out, *in shard order*:
 
@@ -9,42 +9,33 @@ shard out, *in shard order*:
   which makes it the deterministic harness the shard-plan-invariance tests
   drive (and a useful debugging backend: drop-in, single-threaded,
   breakpoint-friendly).
-* :class:`ProcessShardExecutor` fans shards out to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Payloads are pickled to
-  the workers (large factory arrays travel as shared-memory descriptors
-  under the default ``shm`` shipment, see :mod:`repro.parallel.shm`);
-  records are pickled back.  Results are collected in submission order, so
-  shard order — and therefore the merged task order — never depends on
-  worker scheduling.  The pool is created per invocation, so no worker
-  processes linger between figure runs.
 * :class:`PersistentShardExecutor` (``executor="persistent"``) keeps one
-  warm ``ProcessPoolExecutor`` alive across calls.  A
+  warm :class:`concurrent.futures.ProcessPoolExecutor` alive across calls.
+  Payloads carry column-store descriptors (see :mod:`repro.parallel.shm`);
+  records are pickled back and collected in submission order, so shard
+  order — and therefore the merged task order — never depends on worker
+  scheduling.  A
   :class:`~repro.experiments.scalability.ScalabilityEnvironment` holds one
   instance per worker count, so the figure 4–8 drivers pay worker spawn —
-  and, combined with shm shipment plus the worker-side factory cache, the
-  substrate shipment — once per environment instead of once per driver.
-  ``shutdown()`` (or the context manager, or
-  ``ScalabilityEnvironment.close``) releases the workers; a pool broken by
-  a dead worker is discarded so the next call starts a fresh one.
+  and, with the worker-side factory cache, the substrate shipment — once
+  per environment instead of once per driver.  ``shutdown()`` (or the
+  context manager, or ``ScalabilityEnvironment.close``) releases the
+  workers; a pool broken by a dead worker is discarded so the next call
+  starts a fresh one.  A pool resolved for a single call is shut down by
+  :func:`~repro.parallel.evaluation.evaluate_tasks` on the way out.
 
 ``executor=`` strings are validated in exactly one place:
 :func:`validate_executor_name`, which raises :class:`ValueError` listing the
 valid backends.  That list is *derived* from the executor registry
 (:func:`register_executor` / :func:`executor_names`) rather than maintained
-by hand, so backends contributed by other modules — the ``supervised``
-fault-tolerant wrapper of :mod:`repro.parallel.resilience` registers itself
-on import — appear in the error text automatically and can never drift out
-of it.  Both :func:`resolve_executor` (the library path) and the runner's
-``--executor`` flag go through it, so an unknown name fails at the choice
-point instead of deep inside ``evaluate_tasks``.
-
-The same registry pattern is mirrored by two sibling choice points:
-``storage=`` strings validate through
-:func:`repro.parallel.storage.validate_storage_name` (``"shm"`` /
-``"mmap"`` column-store backends), and the whole knob bundle — workers,
-executor, shipment, supervision, columnar, storage — resolves through
-:func:`repro.parallel.policy.resolve_policy` into one frozen
-:class:`~repro.parallel.policy.ExecutionPolicy`.
+by hand, so the ``supervised`` fault-tolerant wrapper of
+:mod:`repro.parallel.resilience`, which registers itself on import, appears
+in the error text automatically.  Both :func:`resolve_executor` (the library
+path) and the runner's ``--executor`` flag go through it, so an unknown name
+fails at the choice point instead of deep inside ``evaluate_tasks``.
+``storage=`` strings validate the same way through
+:func:`repro.parallel.storage.validate_storage_name`, and the whole knob
+bundle lives in one frozen :class:`~repro.parallel.policy.ExecutionPolicy`.
 
 The context-managed shared-memory registry that guarantees segment unlink on
 exit/failure lives in :mod:`repro.parallel.shm` and is re-exported here as
@@ -60,15 +51,18 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.shm import SharedArrayRegistry  # noqa: F401  (re-export)
+
+# perfbench/trace.py swaps a traced wrapper into this module's ``run_shard``
+# before the pool forks, so call it through the module global only.
 from repro.parallel.worker import GroupRunRecord, ShardPayload, run_shard
 
 #: Executor spellings accepted by the ``executor=`` knobs.
 EXECUTOR_SERIAL = "serial"
-EXECUTOR_PROCESS = "process"
 EXECUTOR_PERSISTENT = "persistent"
 
 
@@ -108,23 +102,13 @@ def executor_names() -> tuple[str, ...]:
     return tuple(_EXECUTOR_BUILDERS)
 
 
-def __getattr__(name: str):  # pragma: no cover - thin compatibility shim
-    # ``VALID_EXECUTORS`` predates the registry; keep the import working but
-    # always reflect the *current* registrations (resilience.py registers
-    # "supervised" when it is imported).
-    if name == "VALID_EXECUTORS":
-        return executor_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def available_cpus() -> int:
     """The number of CPUs this process may actually use.
 
     Affinity-mask aware where the platform exposes it (containers and CI
     runners often grant fewer cores than ``os.cpu_count`` reports), falling
-    back to the raw count.  Every speedup record in ``BENCH_engine.json``
-    stores this single source of truth, so the paper-scale and shipment
-    benches can never disagree about the host they measured on.
+    back to the raw count.  The paper-scale summary and the benchmark
+    records report this one value.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -150,9 +134,8 @@ def validate_executor_name(name: str) -> str:
 class ShardExecutor(abc.ABC):
     """Runs shard payloads and returns their records in shard order."""
 
-    #: Whether payloads cross a process boundary (and therefore whether the
-    #: shared-memory shipment path pays off).  ``evaluate_tasks`` defaults
-    #: to shm shipment exactly when this is ``True``.
+    #: Whether payloads cross a process boundary.  ``evaluate_tasks`` ships
+    #: column-store descriptors exactly when this is ``True``.
     ships_payloads = False
 
     @abc.abstractmethod
@@ -167,39 +150,12 @@ class SerialShardExecutor(ShardExecutor):
         return [run_shard(payload) for payload in payloads]
 
 
-class ProcessShardExecutor(ShardExecutor):
-    """``concurrent.futures`` process-pool executor, one worker per shard slot.
-
-    Parameters
-    ----------
-    n_workers:
-        Worker process count.  Callers usually plan exactly ``n_workers``
-        shards, so every worker receives one payload; plans with more shards
-        than workers queue excess shards and drain them as workers free up.
-    """
-
-    ships_payloads = True
-
-    def __init__(self, n_workers: int) -> None:
-        if n_workers <= 0:
-            raise ConfigurationError("n_workers must be positive")
-        self.n_workers = n_workers
-
-    def run(self, payloads: Sequence[ShardPayload]) -> list[tuple[GroupRunRecord, ...]]:
-        if not payloads:
-            return []
-        max_workers = min(self.n_workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_shard, payload) for payload in payloads]
-            return [future.result() for future in futures]
-
-
 class PersistentShardExecutor(ShardExecutor):
     """A warm process pool reused across dispatches (``executor="persistent"``).
 
     The pool is created lazily on the first :meth:`run` and survives until
     :meth:`shutdown` (or context exit), so successive figure-driver calls
-    inside one environment pay worker spawn once.  Combined with shm
+    inside one environment pay worker spawn once.  Combined with descriptor
     shipment and the worker-side factory cache this is what amortises the
     whole substrate shipment to once per environment.  A pool broken by a
     dead worker is discarded, so the next dispatch transparently starts a
@@ -235,9 +191,14 @@ class PersistentShardExecutor(ShardExecutor):
         Public because the dispatch supervisor
         (:class:`repro.parallel.resilience.SupervisedDispatch`) submits
         shard futures individually to enforce per-shard timeouts.
+
+        The parent's resource tracker is started first: a worker forked
+        before it exists inherits none, and its first segment attach would
+        launch a private tracker — one extra process per worker.
         """
         with self._lifecycle:
             if self._pool is None:
+                resource_tracker.ensure_running()
                 self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
             return self._pool
 
@@ -300,8 +261,9 @@ class PersistentShardExecutor(ShardExecutor):
         self.shutdown()
 
 
-#: Issue-facing alias: the persistent pool *is* the executor.
-PersistentPool = PersistentShardExecutor
+#: perfbench/trace.py times ``ProcessShardExecutor.run`` by name; the alias
+#: keeps that name resolvable.
+ProcessShardExecutor = PersistentShardExecutor
 
 
 def resolve_executor(
@@ -309,22 +271,21 @@ def resolve_executor(
 ) -> ShardExecutor:
     """Resolve the user-facing ``executor=`` knob into a :class:`ShardExecutor`.
 
-    ``None`` picks the process backend (the only reason to reach the sharded
-    path is to fan out); strings select by name (unknown names raise
+    ``None`` picks a fresh persistent pool (the only reason to reach the
+    sharded path is to fan out); strings select by name (unknown names raise
     :class:`ValueError` from :func:`validate_executor_name`); instances pass
     through.  The process-based backends demand an explicit worker count — a
     silent one-worker pool would pickle the whole workload into a single
     subprocess for zero parallelism, which is never what the caller meant.
 
-    Note on ``"persistent"``: resolving the string builds a *fresh*
-    :class:`PersistentShardExecutor`; persistence across calls requires the
-    caller to hold the instance (``ScalabilityEnvironment`` memoises one per
-    worker count).  ``evaluate_tasks`` shuts down any pool it resolved
+    Resolving builds a *fresh* executor; persistence across calls requires
+    the caller to hold the instance (``ScalabilityEnvironment`` memoises one
+    per worker count).  ``evaluate_tasks`` shuts down any pool it resolved
     itself, so a string never leaks worker processes.
     """
     if isinstance(executor, ShardExecutor):
         return executor
-    name = EXECUTOR_PROCESS if executor is None else validate_executor_name(executor)
+    name = EXECUTOR_PERSISTENT if executor is None else validate_executor_name(executor)
     entry = _EXECUTOR_BUILDERS[name]
     if entry.needs_workers and n_workers is None:
         raise ConfigurationError(
@@ -339,9 +300,6 @@ def resolve_executor(
 # extensions (repro.parallel.resilience's "supervised") append on import.
 
 register_executor(EXECUTOR_SERIAL, lambda n_workers: SerialShardExecutor(), needs_workers=False)
-register_executor(
-    EXECUTOR_PROCESS, lambda n_workers: ProcessShardExecutor(n_workers), needs_workers=True
-)
 register_executor(
     EXECUTOR_PERSISTENT,
     lambda n_workers: PersistentShardExecutor(n_workers),

@@ -76,7 +76,6 @@ from repro.exceptions import (
 )
 from repro.parallel.pool import (
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
     register_executor,
@@ -88,6 +87,8 @@ from repro.parallel.shm import (
     rewrite_affinity_handle,
     rewrite_factory_handle,
 )
+# perfbench/trace.py swaps a traced wrapper into this module's ``run_shard``
+# before the pool forks, so call it through the module global only.
 from repro.parallel.worker import GroupRunRecord, ShardPayload, run_shard
 
 #: The fault-tolerant executor spelling (registered at the bottom).
@@ -472,13 +473,10 @@ def _rewrite_payload(payload: ShardPayload, mapping: dict[str, str]) -> ShardPay
 class SupervisedDispatch(ShardExecutor):
     """A fault-tolerant wrapper around any :class:`ShardExecutor`.
 
-    Process-crossing inner executors get the full treatment — per-shard
-    timeouts, retries, pool rebuilds, shm re-export, serial degradation.
-    A wrapped :class:`ProcessShardExecutor` is normalised to a run-scoped
-    persistent pool (same worker count, shut down before returning), so
-    retries do not pay a pool spawn per attempt and the pool-per-call
-    contract — no lingering workers — still holds.  In-process executors
-    get retries and degradation only: preemptive timeouts need a process
+    A wrapped :class:`~repro.parallel.pool.PersistentShardExecutor` gets
+    the full treatment — per-shard timeouts, retries, pool rebuilds, shm
+    re-export, serial degradation.  In-process executors get retries and
+    degradation only: preemptive timeouts need a process
     boundary, and a planned ``crash`` inside the parent is the caller's
     own foot-gun (the chaos suite injects crashes into pooled backends).
 
@@ -535,12 +533,6 @@ class SupervisedDispatch(ShardExecutor):
             return []
         builder = _ReportBuilder()
         try:
-            if isinstance(self.executor, ProcessShardExecutor):
-                pool = PersistentShardExecutor(self.executor.n_workers)
-                try:
-                    return self._run_pooled(pool, payloads, builder)
-                finally:
-                    pool.shutdown()
             if isinstance(self.executor, PersistentShardExecutor):
                 return self._run_pooled(self.executor, payloads, builder)
             return self._run_inline(payloads, builder)

@@ -97,11 +97,6 @@ from repro.parallel.storage import (
 #: ``buf``/``close()``/``unlink()`` with identical semantics.
 Segment = shared_memory.SharedMemory | MappedFileSegment
 
-#: Shipment spellings accepted by :func:`repro.parallel.evaluate_tasks`.
-SHIPMENT_PICKLE = "pickle"
-SHIPMENT_SHM = "shm"
-VALID_SHIPMENTS = (SHIPMENT_PICKLE, SHIPMENT_SHM)
-
 #: Byte alignment of arrays packed into one segment.
 _ALIGNMENT = 16
 

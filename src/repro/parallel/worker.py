@@ -3,21 +3,21 @@
 A shard ships three things to its worker process:
 
 * the :class:`~repro.core.greca.GrecaIndexFactory` of every group appearing
-  in the shard (pickled once per shard, not once per task — sweeps that
-  evaluate one group at many sweep points reuse the shard-local factory and
-  its memoised column-sliced substrates exactly like the serial reuse layer);
-* one :class:`GroupEvalTask` per evaluation, carrying the *materialised*
-  affinity components (static / periodic / averages / time model), the
-  consensus function and the query knobs — everything the parent resolved, so
-  the worker never touches the recommender, the social network or the
+  in the shard, as a column-store handle when the payload crosses a process
+  boundary (once per shard, not once per task — sweeps that evaluate one
+  group at many sweep points reuse the shard-local factory and its memoised
+  column-sliced substrates exactly like the serial reuse layer);
+* one :class:`GroupEvalTask` per evaluation, carrying a reference to the
+  group's affinity columns (plus the query period's prefix length), the
+  consensus function and the query knobs — everything the parent resolved,
+  so the worker never touches the recommender, the social network or the
   dataset; and
 * the shard's original task indices, so the merger can scatter the records
   back into task order.
 
 :func:`run_shard` is the worker entry point: it rebuilds each task's index
-through ``factory.build`` — the exact code path the serial reuse layer uses,
-proven bit-identical to fresh construction by the PR 2 equivalence tests —
-and runs :class:`~repro.core.greca.Greca` on it.  Results come back as
+through ``factory.build_columns`` — proven bit-identical to fresh
+construction by the engine equivalence tests — and runs :class:`~repro.core.greca.Greca` on it.  Results come back as
 :class:`GroupRunRecord` values: plain, picklable scalars only (no numpy
 arrays, no list objects), which keeps the result pipes small.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.affinity import AffinityColumns
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory, GrecaResult
 from repro.core.consensus import ConsensusFunction
 from repro.exceptions import ConfigurationError
@@ -46,45 +45,27 @@ def group_key(group) -> GroupKey:
 class GroupEvalTask:
     """One group evaluation with fully materialised inputs.
 
-    The affinity inputs travel one of two ways:
-
-    * **dict path** — ``static`` / ``periodic`` / ``averages`` hold the
-      output of :meth:`~repro.core.recommender.GroupRecommender
-      .affinity_components` (or the raw case inputs in the engine tests),
-      pickled by value with the task;
-    * **columnar path** — ``affinity_ref`` holds an
-      :class:`~repro.core.affinity.AffinityColumns` (in-process) or an
-      :class:`~repro.parallel.shm.ShmAffinityHandle` (shared-memory
-      descriptors) covering the group's *full* timeline, and ``n_periods``
-      selects the query period's prefix.  The dict fields must then be
-      empty; the worker reconstructs them through the exact-float façade,
-      so both paths build bit-identical indexes.
+    ``affinity_ref`` holds an :class:`~repro.core.affinity.AffinityColumns`
+    (in-process) or an :class:`~repro.parallel.shm.ShmAffinityHandle`
+    (descriptors into the column store) covering the group's *full*
+    timeline, and ``n_periods`` selects the query period's prefix.  Inputs
+    held as dictionaries (the raw case inputs of the engine tests) ship as
+    :meth:`AffinityColumns.from_components
+    <repro.core.affinity.AffinityColumns.from_components>`, whose exact-float
+    façade builds bit-identical indexes.
 
     ``items`` optionally restricts the candidate universe (``None`` means
-    the factory's full catalogue).  ``kernel`` selects the round-kernel
-    backend the worker-side :class:`~repro.core.greca.Greca` runs on
-    (``None`` means the reference tier); it travels with the task so warm
-    persistent-pool workers honour the caller's policy on every dispatch.
+    the factory's full catalogue).
     """
 
     group: GroupKey
     k: int
     consensus: ConsensusFunction
-    static: Mapping[tuple[int, int], float]
-    periodic: Mapping[int, Mapping[tuple[int, int], float]]
-    averages: Mapping[int, float]
+    affinity_ref: object
+    n_periods: int
     time_model: str
     items: tuple[int, ...] | None = None
     check_interval: int | None = None
-    affinity_ref: object | None = None
-    n_periods: int | None = None
-    kernel: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.affinity_ref is not None and (self.static or self.periodic or self.averages):
-            raise ConfigurationError(
-                "a task carries either affinity dictionaries or an affinity_ref, not both"
-            )
 
 
 @dataclass(frozen=True)
@@ -129,9 +110,9 @@ class ShardPayload:
     """Everything one worker needs to evaluate one shard.
 
     ``factories`` maps each group either to its
-    :class:`~repro.core.greca.GrecaIndexFactory` (pickle shipment) or to a
-    :class:`~repro.parallel.shm.ShmFactoryHandle` (zero-copy shared-memory
-    shipment: only segment descriptors cross the pickle boundary, and
+    :class:`~repro.core.greca.GrecaIndexFactory` (in-process backends) or to
+    a :class:`~repro.parallel.shm.ShmFactoryHandle` (process-crossing
+    backends: only segment descriptors cross the pickle boundary, and
     :func:`run_shard` reattaches the arrays worker-side).
 
     ``fault_plan`` is the deterministic fault-injection harness of
@@ -150,8 +131,7 @@ class ShardPayload:
     Warm workers purge cache entries below it before running any task
     (:func:`~repro.parallel.shm.purge_stale`), which is how a persistent
     pool adopts a new epoch — retired-segment caches dropped in-worker —
-    without being restarted.  ``0`` (the pickle-shipment default) purges
-    nothing.
+    without being restarted.  ``0`` (the default) purges nothing.
     """
 
     shard_index: int
@@ -176,32 +156,21 @@ class ShardPayload:
 
 
 def build_task_index(task: GroupEvalTask, factory: GrecaIndexFactory) -> GrecaIndex:
-    """Build the task's index through whichever affinity path it carries."""
-    if task.affinity_ref is not None:
-        from repro.parallel.shm import resolve_affinity_columns
+    """Build the task's index from its (resolved) affinity columns."""
+    from repro.parallel.shm import resolve_affinity_columns
 
-        columns = resolve_affinity_columns(task.affinity_ref)
-        return factory.build_columns(
-            columns,
-            time_model=task.time_model,
-            items=task.items,
-            n_periods=task.n_periods,
-        )
-    return factory.build(
-        task.static,
-        periodic=task.periodic,
-        averages=task.averages,
+    return factory.build_columns(
+        resolve_affinity_columns(task.affinity_ref),
         time_model=task.time_model,
         items=task.items,
+        n_periods=task.n_periods,
     )
 
 
 def run_task(task: GroupEvalTask, factory: GrecaIndexFactory) -> GroupRunRecord:
     """Evaluate one task against its group's factory (worker-side)."""
     index = build_task_index(task, factory)
-    algorithm = Greca(
-        task.consensus, k=task.k, check_interval=task.check_interval, kernel=task.kernel
-    )
+    algorithm = Greca(task.consensus, k=task.k, check_interval=task.check_interval)
     return record_from_result(task.group, algorithm.run(index))
 
 
@@ -211,8 +180,8 @@ def _stable_index_key(task: GroupEvalTask, factory_ref: object) -> tuple | None:
     Only fully handle-addressed tasks qualify: the factory and the affinity
     columns must both have arrived as shared-memory handles, whose values
     identify the underlying segments across dispatches — that is what makes
-    the per-process index memo safe on a warm persistent pool.  By-value
-    shipments get no cross-payload key (a fresh pickle copy has no stable
+    the per-process index memo safe on a warm persistent pool.  In-process
+    payloads get no cross-payload key (their objects have no stable
     identity); they still batch within one payload via the shard-local memo.
 
     Handle equality covers the full descriptor — segment name, shape, dtype,
@@ -229,10 +198,8 @@ def _stable_index_key(task: GroupEvalTask, factory_ref: object) -> tuple | None:
     return (factory_ref, task.affinity_ref, task.n_periods, task.items, task.time_model)
 
 
-def _shard_local_key(task: GroupEvalTask) -> tuple | None:
+def _shard_local_key(task: GroupEvalTask) -> tuple:
     """A within-payload memo key (id-based; the payload keeps the refs alive)."""
-    if task.affinity_ref is None:
-        return None
     return (task.group, id(task.affinity_ref), task.n_periods, task.items, task.time_model)
 
 
@@ -253,7 +220,9 @@ def run_shard(payload: ShardPayload) -> tuple[GroupRunRecord, ...]:
     PR 2 reuse-layer guarantee; indexes are immutable between runs).
 
     Must stay a module-level function so process pools can address it by
-    qualified name regardless of the start method.
+    qualified name regardless of the start method.  perfbench/trace.py
+    replaces it by name here and in :mod:`~repro.parallel.pool` and
+    :mod:`~repro.parallel.resilience`, which import it.
     """
     from repro.parallel import shm
 
@@ -277,16 +246,14 @@ def run_shard(payload: ShardPayload) -> tuple[GroupRunRecord, ...]:
         index = None
         if stable_key is not None:
             index = shm.cached_index(stable_key)
-        if index is None and local_key is not None:
+        if index is None:
             index = local_indexes.get(local_key)
         if index is None:
             index = build_task_index(task, factory)
             if stable_key is not None:
                 shm.store_index(stable_key, index)
-            elif local_key is not None:
+            else:
                 local_indexes[local_key] = index
-        algorithm = Greca(
-            task.consensus, k=task.k, check_interval=task.check_interval, kernel=task.kernel
-        )
+        algorithm = Greca(task.consensus, k=task.k, check_interval=task.check_interval)
         records.append(record_from_result(task.group, algorithm.run(index)))
     return tuple(records)

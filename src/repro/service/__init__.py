@@ -6,7 +6,7 @@
   pool, answering with bit-identical-to-serial :class:`QueryResponse`
   records plus per-query :class:`QueryLatency` accounting;
 * :mod:`repro.service.loadgen` — deterministic load generation and the
-  p50/p95/p99 latency summary the service bench records;
+  p50/p95/p99 latency summary the service CLI prints;
 * ``python -m repro.service`` — the CLI entry point (smoke serving, load
   generation, graceful SIGTERM/SIGINT drain with a /dev/shm-clean check).
 """

@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         default="supervised",
-        help='dispatch backend ("supervised", "persistent", "process", '
-        '"serial") or "reference" for the in-process serial path',
+        help='dispatch backend ("supervised", "persistent", "serial") or '
+        '"reference" for the in-process serial path',
     )
     parser.add_argument(
         "--storage",
@@ -86,15 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         'memory (the default) or "mmap" spool files — the same axis '
         "ExecutionPolicy(storage=...) bundles programmatically; validated "
         "at the repro.parallel.storage choice point",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        help='GRECA round-kernel tier batches run on: "reference" (the '
-        'default), "fused" (batched numpy gather/scatter) or "numba" '
-        "(opt-in njit, needs the kernels extra) — the same axis "
-        "ExecutionPolicy(kernel=...) bundles programmatically; validated "
-        "at the repro.core.kernels choice point",
     )
     parser.add_argument("--clients", type=int, default=4, help="concurrent clients")
     parser.add_argument("--queries", type=int, default=5, help="queries per client")
@@ -132,7 +123,6 @@ async def run(args: argparse.Namespace) -> int:
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay,
         storage=args.storage,
-        kernel=args.kernel,
     )
     service = GrecaService(
         config=service_config,

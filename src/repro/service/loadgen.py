@@ -5,8 +5,7 @@ environment's group pool (seeded ``random.Random``, so a given (environment,
 seed) always produces the same load), :func:`run_load` fires N concurrent
 clients at a running :class:`~repro.service.GrecaService`, and
 :func:`summarise_latencies` folds the per-query latency splits into the
-p50/p95/p99 + throughput record ``scripts/bench_service.py`` appends next to
-``BENCH_engine.json``.
+p50/p95/p99 + throughput summary ``python -m repro.service`` prints.
 """
 
 from __future__ import annotations

@@ -50,9 +50,6 @@ from repro.parallel import (
     GroupRunRecord,
     group_key,
     run_task,
-    validate_executor_name,
-    validate_kernel_name,
-    validate_storage_name,
 )
 
 #: Queue sentinel that tells the batch loop to finish the current backlog
@@ -75,14 +72,7 @@ class ServiceConfig:
     without bound.
 
     ``storage`` selects the column-store backend dispatches export into
-    (``"shm"`` shared memory — the default — or ``"mmap"`` spool files);
-    ``kernel`` selects the GRECA round-kernel tier every batch's runs
-    execute on (``None`` = the reference tier; all registered kernels are
-    bit-identical).  The execution knobs can instead arrive bundled as
-    ``policy=`` (an :class:`~repro.parallel.ExecutionPolicy`); combining
-    ``policy=`` with a non-default ``n_workers`` / ``executor`` /
-    ``storage`` / ``kernel`` raises, mirroring the
-    :func:`~repro.parallel.resolve_policy` mixing rule.
+    (``"shm"`` shared memory — the default — or ``"mmap"`` spool files).
     """
 
     n_workers: int = 2
@@ -91,36 +81,8 @@ class ServiceConfig:
     max_batch_delay: float = 0.005
     max_queue: int = 1024
     storage: str | None = None
-    kernel: str | None = None
-    policy: ExecutionPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.policy is not None:
-            if not isinstance(self.policy, ExecutionPolicy):
-                raise ConfigurationError(
-                    f"policy must be an ExecutionPolicy, got {type(self.policy).__name__}"
-                )
-            mixed = [
-                name
-                for name, value, default in (
-                    ("n_workers", self.n_workers, 2),
-                    ("executor", self.executor, EXECUTOR_SUPERVISED),
-                    ("storage", self.storage, None),
-                    ("kernel", self.kernel, None),
-                )
-                if value != default
-            ]
-            if mixed:
-                spelt = ", ".join(sorted(mixed))
-                raise ConfigurationError(
-                    f"pass either policy= or the legacy knobs ({spelt}), not both"
-                )
-        if self.executor is not None:
-            validate_executor_name(self.executor)
-        if self.storage is not None:
-            validate_storage_name(self.storage)
-        if self.kernel is not None:
-            validate_kernel_name(self.kernel)
         if self.n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1")
         if self.max_batch_size < 1:
@@ -129,24 +91,19 @@ class ServiceConfig:
             raise ConfigurationError("max_batch_delay must be >= 0")
         if self.max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
+        self.execution_policy()  # validates executor and storage names
 
     def execution_policy(self) -> ExecutionPolicy:
-        """The dispatch policy every batch runs under (one resolution point).
+        """The dispatch policy every batch runs under.
 
-        An explicit ``policy=`` wins.  Otherwise the legacy knobs fold in:
-        ``executor=None`` keeps its historical meaning — the in-process
-        serial reference path, ``n_workers`` notwithstanding — and any other
-        executor runs sharded at ``n_workers`` over ``storage``.
+        ``executor=None`` is the in-process serial reference path,
+        ``n_workers`` notwithstanding; any other executor runs sharded at
+        ``n_workers`` over ``storage``.
         """
-        if self.policy is not None:
-            return self.policy
         if self.executor is None:
-            return ExecutionPolicy(storage=self.storage, kernel=self.kernel)
+            return ExecutionPolicy(storage=self.storage)
         return ExecutionPolicy(
-            n_workers=self.n_workers,
-            executor=self.executor,
-            storage=self.storage,
-            kernel=self.kernel,
+            n_workers=self.n_workers, executor=self.executor, storage=self.storage
         )
 
 

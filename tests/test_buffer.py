@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.buffer import BufferedItem, CandidateBuffer, select_top_k
+from repro.core.buffer import BufferedItem, ColumnarCandidateBuffer, select_top_k
 from repro.core.greca import STOP_BUFFER, STOP_THRESHOLD, Greca
 from repro.core.lists import repr_tie_break_ranks
 from repro.exceptions import AlgorithmError
@@ -35,7 +35,7 @@ class TestBufferedItem:
 class TestCandidateBuffer:
     @pytest.fixture()
     def buffer(self):
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update("a", 0.8, 0.9)
         buffer.update("b", 0.5, 0.95)
         buffer.update("c", 0.4, 0.6)
@@ -81,7 +81,7 @@ class TestCandidateBuffer:
         assert stop_reason(buffer, 1) == STOP_BUFFER
 
     def test_buffer_condition_with_exactly_k_items(self):
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update("a", 0.3, 0.9)
         buffer.update("b", 0.2, 0.8)
         assert stop_reason(buffer, 2) == STOP_THRESHOLD  # nothing left to prune
@@ -98,7 +98,7 @@ class TestCandidateBuffer:
 
     def test_stop_check_tests_the_item_the_answer_leaves_out(self):
         """Lower bounds tied across rank k: the excluded tie is the one tested."""
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update("a", 0.5, 0.5)
         buffer.update("c", 0.4, 0.45)
         buffer.update("b", 0.4, 0.4)  # ranks before "c" by repr, so "c" is left out
@@ -108,7 +108,7 @@ class TestCandidateBuffer:
         assert stop_reason(buffer, 2) == STOP_BUFFER
 
     def test_tie_breaking_is_deterministic(self):
-        buffer = CandidateBuffer()
+        buffer = ColumnarCandidateBuffer()
         buffer.update(2, 0.5, 0.6)
         buffer.update(1, 0.5, 0.6)
         ranked = [entry.item for entry in buffer.ranked_by_lower_bound()]

@@ -15,8 +15,8 @@ merged ratings/likes/timeline" world.  Every test compares the evolved
 (incremental) environment against it:
 
 * serial records across periods / consensus / k / item-subset knobs;
-* the sharded tiers at shard counts {1, 2, 3, 7} — persistent warm pools,
-  supervised dispatch, process pools under both pickle and shm shipment;
+* the sharded tiers at shard counts {1, 2, 3, 7} — persistent warm pools
+  over shared memory and mmap spool files, and supervised dispatch;
 * the figure 6 / figure 8 drivers;
 * the asyncio service: ``submit_delta`` between query waves, with epoch
   adoption and **zero pool restarts** (asserted via pool object identity);
@@ -40,7 +40,7 @@ from repro.experiments.scalability import (
     ScalabilityConfig,
     ScalabilityEnvironment,
 )
-from repro.parallel import ExecutionPolicy, evaluate_tasks, group_key
+from repro.parallel import ExecutionPolicy
 from repro.service import GrecaService, GroupQuery, ServiceConfig
 from repro.updates import EpochManager, RatingDelta, random_deltas
 from repro.updates.epoch import JOURNAL_VERSION, delta_from_json, delta_to_json
@@ -214,39 +214,32 @@ def test_new_user_delta_falls_back_to_full_rebuild(base_substrate, deltas, group
 def test_incremental_persistent_matrix(evolved, oracle_env, groups, n_shards):
     """Warm persistent pools over post-delta state, shard counts {1, 2, 3, 7}."""
     env, _ = evolved
-    sharded = env.run_records(groups, n_workers=n_shards, executor="persistent")
+    sharded = env.run_records(
+        groups, policy=ExecutionPolicy(n_workers=n_shards, executor="persistent")
+    )
     assert_records_identical(sharded, oracle_env.run_records(groups))
 
 
 def test_incremental_supervised_matches_oracle(evolved, oracle_env, groups):
     env, _ = evolved
-    sharded = env.run_records(groups, n_workers=2, executor="supervised")
+    sharded = env.run_records(
+        groups, policy=ExecutionPolicy(n_workers=2, executor="supervised")
+    )
     assert_records_identical(sharded, oracle_env.run_records(groups))
     assert env.dispatch_reports[-1].ok
-
-
-@pytest.mark.parametrize("shipment", ("pickle", "shm"))
-def test_incremental_process_shipment_matrix(evolved, oracle_env, groups, shipment):
-    """Post-delta factories survive both shipment modes bit-identically."""
-    env, _ = evolved
-    tasks = [env.task_for(group) for group in groups]
-    factories = {group_key(group): env.index_factory(group) for group in groups}
-    records = evaluate_tasks(
-        tasks, factories, n_shards=2, executor="process", shipment=shipment
-    )
-    assert_records_identical(records, oracle_env.run_records(groups))
 
 
 def test_epoch_adoption_keeps_warm_pools_alive(base_substrate, deltas, groups, oracle_env):
     """Zero pool restarts: the pre-delta pool object survives every epoch."""
     env = ScalabilityEnvironment(CONFIG, substrate=base_substrate)
-    env.run_records(groups, n_workers=2, executor="persistent")  # warm epoch 0
+    persistent = ExecutionPolicy(n_workers=2, executor="persistent")
+    env.run_records(groups, policy=persistent)  # warm epoch 0
     pool = env._persistent_pools[2]
     inner = pool._pool
     registry = env._shared_registry()
     for delta in deltas:
         env.apply_delta(delta)
-    post = env.run_records(groups, n_workers=2, executor="persistent")
+    post = env.run_records(groups, policy=persistent)
     # Same pool wrapper, same live ProcessPoolExecutor, same registry object —
     # the new epoch was adopted by the existing workers, not by replacements.
     assert env._persistent_pools[2] is pool and pool._pool is inner

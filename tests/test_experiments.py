@@ -193,6 +193,36 @@ class TestRunner:
         assert main(["--list"]) == 0
         assert "figure5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [["figure6"], ["--quick"], ["--serve"]])
+    def test_paper_scale_refuses_other_modes(self, extra):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit, match="--paper-scale does not combine"):
+            main(["--paper-scale", *extra])
+
+
+class TestPaperScale:
+    def test_sharded_records_match_serial(self):
+        """The paper-scale path on a seconds-scale substrate with 2 workers."""
+        from repro.experiments.scalability import run_paper_scale
+        from repro.parallel import ExecutionPolicy
+
+        config = ScalabilityConfig(
+            n_users=60, n_items=260, n_ratings=3_000, n_participants=16, n_groups=5, seed=11
+        )
+        result = run_paper_scale(policy=ExecutionPolicy(n_workers=2), config=config)
+        assert result.identical
+        assert result.n_workers == 2
+        assert result.n_tasks == result.n_groups * result.n_periods
+        assert "bit-identical" in result.format_summary()
+
+    def test_needs_a_worker_count(self):
+        from repro.experiments.scalability import run_paper_scale
+        from repro.parallel import ExecutionPolicy
+
+        with pytest.raises(ConfigurationError):
+            run_paper_scale(policy=ExecutionPolicy(executor="serial"))
+
 
 class TestFigureDriverEnvironmentLifecycle:
     """Driver-owned environments are closed on every exit path (issue 5 fix).

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.core.affinity import AffinityColumns
 from repro.core.consensus import make_consensus
 from repro.core.greca import GrecaIndexFactory
 from repro.exceptions import (
@@ -37,11 +38,11 @@ from repro.exceptions import (
 )
 from repro.parallel import (
     DispatchReport,
+    ExecutionPolicy,
     FaultPlan,
     FaultSpec,
     GroupEvalTask,
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     SharedArrayRegistry,
     SupervisedDispatch,
@@ -60,6 +61,10 @@ from test_shm_lifecycle import assert_unlinked
 
 #: Fast-retry policy for chaos runs: tiny backoff, generous shard budget.
 FAST = dict(max_retries=2, backoff_base=0.001)
+
+#: The environment's warm two-worker pool, bare and supervised.
+PERSISTENT_2 = ExecutionPolicy(n_workers=2, executor="persistent")
+SUPERVISED_2 = ExecutionPolicy(n_workers=2, executor="supervised")
 
 
 def _make_factory(members, seed):
@@ -83,14 +88,14 @@ def workload():
         group_key([1, 2, 3]): {(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8},
         group_key([4, 5, 6]): {(4, 5): 0.6, (4, 6): 0.3, (5, 6): 0.2},
     }
+    columns = {key: AffinityColumns.from_components(statics[key], {}, {}) for key in groups}
     tasks = [
         GroupEvalTask(
             group=key,
             k=k,
             consensus=make_consensus("AP"),
-            static=statics[key],
-            periodic={},
-            averages={},
+            affinity_ref=columns[key],
+            n_periods=0,
             time_model="discrete",
         )
         for key in groups
@@ -313,35 +318,34 @@ def test_registry_reexport_missing_recreates_vanished_segments(workload):
 def test_supervisor_heals_externally_unlinked_segments(workload, reference):
     """Vanished segments are re-exported mid-dispatch and the retry succeeds.
 
-    The supervisor wraps a :class:`ProcessShardExecutor` here, so retry
-    workers fork fresh (empty caches) and genuinely re-attach through the
-    healed handles.
+    Each supervisor wraps a fresh pool here, so retry workers fork fresh
+    (empty caches) and genuinely re-attach through the healed handles.
     """
     factories, tasks = workload
     registry = SharedArrayRegistry()
-    warmup = SupervisedDispatch(
-        ProcessShardExecutor(2), policy=SupervisionPolicy(**FAST), owns_executor=True
-    )
-    records = evaluate_tasks(
-        tasks, factories, n_shards=2, executor=warmup, registry=registry
-    )
+    with SupervisedDispatch(
+        PersistentShardExecutor(2), policy=SupervisionPolicy(**FAST), owns_executor=True
+    ) as warmup:
+        records = evaluate_tasks(
+            tasks, factories, n_shards=2, executor=warmup, registry=registry
+        )
     assert records == reference
     names_before = list(registry.segment_names)
     victim = shared_memory.SharedMemory(name=names_before[0])
     victim.unlink()  # an over-eager tracker / foreign cleanup nukes the file
     victim.close()
-    supervisor = SupervisedDispatch(
-        ProcessShardExecutor(2), policy=SupervisionPolicy(**FAST), owns_executor=True
-    )
     reports: list[DispatchReport] = []
-    healed = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=2,
-        executor=supervisor,
-        registry=registry,
-        reports=reports,
-    )
+    with SupervisedDispatch(
+        PersistentShardExecutor(2), policy=SupervisionPolicy(**FAST), owns_executor=True
+    ) as supervisor:
+        healed = evaluate_tasks(
+            tasks,
+            factories,
+            n_shards=2,
+            executor=supervisor,
+            registry=registry,
+            reports=reports,
+        )
     (report,) = reports
     assert healed == reference
     assert report.ok
@@ -378,7 +382,7 @@ def test_inline_supervision_retries_in_process(workload, reference):
 
 
 def test_supervision_keyword_wraps_any_backend(workload, reference):
-    """evaluate_tasks(supervision=...) supervises a plain string backend."""
+    """evaluate_tasks(supervision=...) supervises the pool it builds itself."""
     factories, tasks = workload
     reports: list[DispatchReport] = []
     plan = FaultPlan((FaultSpec(shard=0, position=0, mode="raise", fires=1),))
@@ -386,7 +390,6 @@ def test_supervision_keyword_wraps_any_backend(workload, reference):
         tasks,
         factories,
         n_shards=2,
-        executor="process",
         supervision=SupervisionPolicy(**FAST),
         fault_plan=plan,
         reports=reports,
@@ -545,14 +548,14 @@ def test_environment_close_is_idempotent_and_reopens(small_environment):
     env = small_environment
     groups = env.random_groups()
     serial = env.run_records(groups)
-    parallel = env.run_records(groups, n_workers=2, executor="persistent")
+    parallel = env.run_records(groups, policy=PERSISTENT_2)
     assert parallel == serial
     names = env._shared_registry().segment_names
     env.close()
     env.close()  # idempotent: a second close must be a no-op, not an error
     assert_unlinked(names)
     # ...and the next parallel dispatch lazily recreates pool and registry.
-    again = env.run_records(groups, n_workers=2, executor="persistent")
+    again = env.run_records(groups, policy=PERSISTENT_2)
     assert again == serial
 
 
@@ -564,10 +567,10 @@ def test_environment_survives_mid_sweep_worker_crash(small_environment):
     tasks = [env.task_for(group) for group in groups]
     crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=99),))
     with pytest.raises(BrokenProcessPool):
-        env.evaluate(tasks, n_workers=2, executor="persistent", fault_plan=crash)
+        env.evaluate(tasks, policy=PERSISTENT_2, fault_plan=crash)
     # No manual close() in between: the broken pool was discarded by its own
     # handler and the environment's registry is still serving segments.
-    records = env.evaluate(tasks, n_workers=2, executor="persistent")
+    records = env.evaluate(tasks, policy=PERSISTENT_2)
     assert records == serial
 
 
@@ -580,7 +583,7 @@ def test_environment_supervised_sweep_records_reports(small_environment):
     serial = env.run_sweep(points)
     env.dispatch_reports.clear()
     plan = FaultPlan((FaultSpec(shard=1, position=0, mode="raise", fires=1),))
-    supervised = env.run_sweep(points, n_workers=2, executor="supervised", fault_plan=plan)
+    supervised = env.run_sweep(points, policy=SUPERVISED_2, fault_plan=plan)
     assert supervised == serial
     report = env.last_dispatch_report
     assert report is not None and report.ok and report.retries >= 1
@@ -595,13 +598,13 @@ def test_environment_supervised_crash_mid_sweep_recovers(small_environment):
     tasks = [env.task_for(group) for group in groups]
     crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=1),))
     env.dispatch_reports.clear()
-    records = env.evaluate(tasks, n_workers=2, executor="supervised", fault_plan=crash)
+    records = env.evaluate(tasks, policy=SUPERVISED_2, fault_plan=crash)
     assert records == serial
     report = env.last_dispatch_report
     assert report.ok and report.rebuilds >= 1
     # The warm pool the supervisor wrapped belongs to the environment and
     # was rebuilt in place; a plain persistent dispatch reuses it.
-    assert env.evaluate(tasks, n_workers=2, executor="persistent") == serial
+    assert env.evaluate(tasks, policy=PERSISTENT_2) == serial
 
 
 def test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch():
@@ -630,21 +633,19 @@ def test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch():
         groups = env.random_groups()
         serial_before = env.run_records(groups)
         # Warm the supervised tier (pool + shm exports) on epoch 0.
-        assert env.run_records(groups, n_workers=2, executor="supervised") == serial_before
+        assert env.run_records(groups, policy=SUPERVISED_2) == serial_before
         delta = random_deltas(env.ratings, env.social, env.timeline, n_deltas=1, seed=3)[0]
         report = env.apply_delta(delta)
         assert report.epoch == 1 and report.touched_users
         serial_after = env.run_records(groups)
         crash = FaultPlan((FaultSpec(shard=0, position=0, mode="crash", fires=1),))
         env.dispatch_reports.clear()
-        records = env.run_records(
-            groups, n_workers=2, executor="supervised", fault_plan=crash
-        )
+        records = env.run_records(groups, policy=SUPERVISED_2, fault_plan=crash)
         assert records == serial_after
         dispatch = env.last_dispatch_report
         assert dispatch.ok and dispatch.rebuilds >= 1
         # The healed pool keeps serving the new epoch without further drama.
-        assert env.run_records(groups, n_workers=2, executor="persistent") == serial_after
+        assert env.run_records(groups, policy=PERSISTENT_2) == serial_after
     finally:
         env.close()
 

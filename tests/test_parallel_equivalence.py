@@ -8,18 +8,19 @@ reference sequence.  This suite pins that down at three levels:
 
 * **engine level** — the golden grid of :mod:`engine_grid` replayed through
   :func:`repro.parallel.evaluate_tasks` at shard counts {1, 2, 3, 7}, with
-  the in-process, process-pool and persistent-pool executors and both
-  shipment modes (pickle-by-value and zero-copy shared memory), against a
-  serial :class:`~repro.core.greca.Greca` reference run;
+  the in-process executor (objects handed over as they are, or shipped as
+  column-store descriptors like a process pool gets them), the persistent
+  pool and both storage backends (shared memory and mmap spool files),
+  against a serial :class:`~repro.core.greca.Greca` reference run;
 * **plan level** — seeded property cases: *arbitrary* partitions of the task
   indices (shuffled, uneven, non-contiguous) merge to exactly the serial
   sequence, so the planner's particular slicing policy is irrelevant to
   correctness;
 * **environment level** — :class:`ScalabilityEnvironment` measurements
   (``average_percent_sa``, ``run_records`` across periods / item subsets /
-  consensus functions, ``run_quick_smoke``, the figure 6/8 drivers) with
-  ``n_workers`` set produce the exact serial statistics, standard errors
-  included.
+  consensus functions, ``run_quick_smoke``, the figure 6/8 drivers) under
+  a sharded :class:`~repro.parallel.ExecutionPolicy` produce the exact
+  serial statistics, standard errors included.
 
 Float equality here is exact (``==``), never approximate: the merger restores
 task order before anything is summed, so there is no legitimate source of
@@ -35,6 +36,7 @@ import pytest
 
 from engine_grid import GRECA_CASES, greca_case_inputs
 
+from repro.core.affinity import AffinityColumns
 from repro.core.consensus import make_consensus
 from repro.core.greca import Greca, GrecaIndex, GrecaIndexFactory
 from repro.exceptions import ConfigurationError
@@ -49,7 +51,6 @@ from repro.parallel import (
     ExecutionPolicy,
     GroupEvalTask,
     PersistentShardExecutor,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardPayload,
     ShardPlan,
@@ -62,12 +63,27 @@ from repro.parallel import (
     plan_shards,
     record_from_result,
     resolve_executor,
-    resolve_policy,
     run_shard,
 )
 
 #: Shard counts required by the acceptance criteria.
 SHARD_COUNTS = (1, 2, 3, 7)
+
+
+class ShippingSerialExecutor(SerialShardExecutor):
+    """In-process executor whose payloads ship by descriptor, as a pool's do.
+
+    Exercises export → descriptor → reattach without any process in between,
+    so a divergence it shows is a shipment bug, not a scheduling one.
+    """
+
+    ships_payloads = True
+
+
+def fan_out(n_workers: int, **knobs) -> ExecutionPolicy:
+    """A sharded policy over ``n_workers`` workers."""
+    return ExecutionPolicy(n_workers=n_workers, **knobs)
+
 
 #: Seeds for the shard-plan invariance property cases.
 PLAN_SEEDS = tuple(range(10))
@@ -132,7 +148,9 @@ def _grid_tasks() -> tuple[list[GroupEvalTask], dict]:
     """Every golden-grid GRECA case as a shippable task + its group factory.
 
     Distinct cases share member ids, so the factory key embeds the case index
-    to keep one factory (and one preference substrate) per case.
+    to keep one factory (and one preference substrate) per case.  The case's
+    affinity dictionaries ride as their exact-float column set, covering
+    every period of the case.
     """
     tasks: list[GroupEvalTask] = []
     factories: dict = {}
@@ -142,14 +160,16 @@ def _grid_tasks() -> tuple[list[GroupEvalTask], dict]:
         factories[key] = GrecaIndexFactory(
             members=inputs["members"], aprefs=inputs["aprefs"]
         )
+        columns = AffinityColumns.from_components(
+            inputs["static"], inputs["periodic"], inputs["averages"]
+        )
         tasks.append(
             GroupEvalTask(
                 group=key,
                 k=case["k"],
                 consensus=make_consensus(case["consensus"]),
-                static=inputs["static"],
-                periodic=inputs["periodic"],
-                averages=inputs["averages"],
+                affinity_ref=columns,
+                n_periods=columns.n_periods,
                 time_model=inputs["time_model"],
                 check_interval=case["check_interval"],
             )
@@ -203,36 +223,15 @@ def test_grid_sharded_inprocess_matches_serial(grid_tasks, grid_serial, n_shards
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_sharded_process_pool_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Golden grid, real process workers (default shm shipment), {1, 2, 3, 7}."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(tasks, factories, n_shards=n_shards, executor="process")
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_sharded_process_pickle_shipment_matches_serial(
-    grid_tasks, grid_serial, n_shards
-):
-    """Golden grid, process workers with forced by-value pickle shipment."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks, factories, n_shards=n_shards, executor="process", shipment="pickle"
-    )
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_sharded_shm_inprocess_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Golden grid, forced shm shipment attached in-process, {1, 2, 3, 7}.
+    """Golden grid, descriptor shipment attached in-process, {1, 2, 3, 7}.
 
-    Exercises export → descriptor → reattach → ``GrecaIndexFactory
-    .from_columns`` without any process in between, so a divergence here is
-    a shipment bug, not a scheduling one.
+    Factories and affinity columns go through export → descriptor → reattach
+    → ``GrecaIndexFactory.from_columns`` / ``build_columns``.
     """
     tasks, factories = grid_tasks
     records = evaluate_tasks(
-        tasks, factories, n_shards=n_shards, executor=SerialShardExecutor(), shipment="shm"
+        tasks, factories, n_shards=n_shards, executor=ShippingSerialExecutor()
     )
     assert_records_identical(records, grid_serial)
 
@@ -341,19 +340,36 @@ def test_any_partition_merges_to_the_serial_records(grid_tasks, grid_serial, see
 
 
 def test_random_partition_through_real_processes(grid_tasks, grid_serial):
-    """One shuffled partition end-to-end through the process pool."""
+    """One shuffled partition end-to-end through a process pool."""
     tasks, factories = grid_tasks
     plan = _random_partition(random.Random(99), len(tasks))
-    records = evaluate_tasks(
-        tasks, factories, executor=ProcessShardExecutor(n_workers=3), plan=plan
-    )
+    with PersistentShardExecutor(n_workers=3) as pool:
+        records = evaluate_tasks(tasks, factories, executor=pool, plan=plan)
     assert_records_identical(records, grid_serial)
 
 
 def test_executor_worker_count_drives_default_shard_count(grid_tasks, grid_serial):
     """An executor instance without n_shards fans out one shard per worker."""
     tasks, factories = grid_tasks
-    records = evaluate_tasks(tasks, factories, executor=ProcessShardExecutor(n_workers=3))
+    dispatched = []
+
+    class RecordingPool(PersistentShardExecutor):
+        def run(self, payloads):
+            dispatched.append(len(payloads))
+            return super().run(payloads)
+
+    with RecordingPool(n_workers=3) as pool:
+        records = evaluate_tasks(tasks, factories, executor=pool)
+    assert_records_identical(records, grid_serial)
+    assert dispatched == [3]
+
+
+def test_fan_out_without_an_executor_uses_a_pool_of_its_own(grid_tasks, grid_serial):
+    """n_shards alone resolves a fresh process pool, shut down on the way out."""
+    tasks, factories = grid_tasks
+    backend = resolve_executor(None, 2)
+    assert isinstance(backend, PersistentShardExecutor) and backend.n_workers == 2
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert_records_identical(records, grid_serial)
 
 
@@ -376,21 +392,21 @@ def test_evaluate_tasks_without_knobs_stays_in_process(grid_tasks, grid_serial):
 
 
 def test_process_executor_requires_a_worker_count(grid_tasks):
-    """executor='process' without n_workers errors instead of silently using 1."""
+    """The process-pool backends error without n_workers instead of using 1."""
     tasks, factories = grid_tasks
     with pytest.raises(ConfigurationError):
-        evaluate_tasks(tasks, factories, executor="process")
-    with pytest.raises(ConfigurationError):
         evaluate_tasks(tasks, factories, executor="persistent")
+    with pytest.raises(ConfigurationError):
+        evaluate_tasks(tasks, factories, executor="supervised")
 
 
 @pytest.mark.parametrize("bogus", ["threads", "thread", "PROCESS", "async", ""])
 def test_unknown_executor_name_raises_value_error(grid_tasks, bogus):
     """Unknown executor names fail at the single choice point, listing backends."""
     tasks, factories = grid_tasks
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         resolve_executor(bogus, 2)
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         evaluate_tasks(tasks, factories, n_shards=2, executor=bogus)
 
 
@@ -398,14 +414,8 @@ def test_runner_rejects_unknown_executor_before_running():
     """--executor goes through the same choice point, before any experiment."""
     from repro.experiments import runner
 
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         runner.main(["--executor", "threads", "--list"])
-
-
-def test_unknown_shipment_raises_value_error(grid_tasks):
-    tasks, factories = grid_tasks
-    with pytest.raises(ValueError, match="shipment"):
-        evaluate_tasks(tasks, factories, n_shards=2, executor="serial", shipment="carrier-pigeon")
 
 
 def test_run_shard_preserves_shard_order(grid_tasks):
@@ -456,7 +466,7 @@ def test_environment_average_percent_sa_is_shard_count_invariant(
 ):
     """The headline %SA statistic is exact for every required shard count."""
     serial = tiny_environment.average_percent_sa(tiny_groups)
-    sharded = tiny_environment.average_percent_sa(tiny_groups, n_workers=n_workers)
+    sharded = tiny_environment.average_percent_sa(tiny_groups, policy=fan_out(n_workers))
     assert sharded == serial  # mean, std error and n_runs, all exact
 
 
@@ -470,7 +480,7 @@ def test_environment_sweep_points_match_serial(tiny_environment, tiny_groups):
         dict(period=period, n_items=60, consensus="MO"),
     ):
         serial = tiny_environment.run_records(tiny_groups, **knobs)
-        sharded = tiny_environment.run_records(tiny_groups, n_workers=2, **knobs)
+        sharded = tiny_environment.run_records(tiny_groups, policy=fan_out(2), **knobs)
         assert_records_identical(sharded, serial)
 
 
@@ -479,7 +489,9 @@ def test_environment_serial_executor_backend_matches_serial(
 ):
     """The in-process backend exercises sharding/merging without processes."""
     serial = tiny_environment.run_records(tiny_groups)
-    sharded = tiny_environment.run_records(tiny_groups, n_workers=3, executor="serial")
+    sharded = tiny_environment.run_records(
+        tiny_groups, policy=fan_out(3, executor="serial")
+    )
     assert_records_identical(sharded, serial)
 
 
@@ -490,7 +502,7 @@ def test_environment_persistent_executor_is_shard_count_invariant(
     """The persistent backend (warm pool + env-owned shm registry) is exact."""
     serial = tiny_environment.average_percent_sa(tiny_groups)
     sharded = tiny_environment.average_percent_sa(
-        tiny_groups, n_workers=n_workers, executor="persistent"
+        tiny_groups, policy=fan_out(n_workers, executor="persistent")
     )
     assert sharded == serial
     # The environment memoised a warm pool for this worker count...
@@ -504,10 +516,11 @@ def test_environment_persistent_pool_is_reused_across_calls(
     tiny_environment, tiny_groups
 ):
     """Same worker count → same pool object and same warm ProcessPoolExecutor."""
-    first = tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    persistent = fan_out(2, executor="persistent")
+    first = tiny_environment.run_records(tiny_groups, policy=persistent)
     pool = tiny_environment._persistent_pools[2]
     inner = pool._pool
-    second = tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    second = tiny_environment.run_records(tiny_groups, policy=persistent)
     assert tiny_environment._persistent_pools[2] is pool and pool._pool is inner
     assert_records_identical(second, first)
 
@@ -515,7 +528,8 @@ def test_environment_persistent_pool_is_reused_across_calls(
 def test_environment_close_releases_and_recreates_lazily(tiny_environment, tiny_groups):
     """close() shuts pools down and unlinks segments; later calls just work."""
     serial = tiny_environment.run_records(tiny_groups)
-    tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    persistent = fan_out(2, executor="persistent")
+    tiny_environment.run_records(tiny_groups, policy=persistent)
     registry = tiny_environment._registries["shm"]
     names = registry.segment_names
     assert names  # shm shipment actually happened
@@ -528,14 +542,16 @@ def test_environment_close_releases_and_recreates_lazily(tiny_environment, tiny_
             shared_memory.SharedMemory(name=name)
     # The environment recovers transparently: the next dispatch recreates
     # its pool and registry and still matches serial bit-for-bit.
-    again = tiny_environment.run_records(tiny_groups, n_workers=2, executor="persistent")
+    again = tiny_environment.run_records(tiny_groups, policy=persistent)
     assert_records_identical(again, serial)
     tiny_environment.close()
 
 
 def test_environment_persistent_requires_worker_count(tiny_environment, tiny_groups):
     with pytest.raises(ConfigurationError):
-        tiny_environment.run_records(tiny_groups, executor="persistent")
+        tiny_environment.run_records(
+            tiny_groups, policy=ExecutionPolicy(executor="persistent")
+        )
 
 
 def test_quick_smoke_sharded_statistics_match_serial():
@@ -544,10 +560,10 @@ def test_quick_smoke_sharded_statistics_match_serial():
         n_users=60, n_items=260, n_ratings=3_000, n_participants=16, n_groups=5, seed=11
     )
     serial = run_quick_smoke(config=config)
-    sharded = run_quick_smoke(config=config, n_workers=2)
-    assert sharded.stats == serial.stats
-    assert sharded.n_workers == 2
-    persistent = run_quick_smoke(config=config, n_workers=2, executor="persistent")
+    fanned = run_quick_smoke(config=config, policy=fan_out(2))
+    assert fanned.stats == serial.stats
+    assert fanned.n_workers == 2
+    persistent = run_quick_smoke(config=config, policy=fan_out(2, executor="persistent"))
     assert persistent.stats == serial.stats
 
 
@@ -559,105 +575,24 @@ def test_figure_drivers_sharded_match_serial(tiny_environment, tiny_groups):
     draw.
     """
     serial6 = figure6.run(environment=tiny_environment, groups=tiny_groups)
-    sharded6 = figure6.run(environment=tiny_environment, groups=tiny_groups, n_workers=2)
+    sharded6 = figure6.run(environment=tiny_environment, groups=tiny_groups, policy=fan_out(2))
     assert sharded6 == serial6
 
     serial8 = figure8.run(environment=tiny_environment, groups=tiny_groups)
-    sharded8 = figure8.run(environment=tiny_environment, groups=tiny_groups, n_workers=2)
+    sharded8 = figure8.run(environment=tiny_environment, groups=tiny_groups, policy=fan_out(2))
     assert sharded8 == serial8
 
 
 # -- columnar affinity shipment + batched dispatch ----------------------------------------------
 
 
-def _columnar_grid_tasks(tasks):
-    """The grid tasks with their affinity dictionaries swapped for columns.
-
-    Every grid case uses contiguous period indices, so the conversion always
-    succeeds; the dict fields are emptied and the full column set rides as
-    ``affinity_ref`` with an explicit full prefix.
-    """
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
-
-    converted = []
-    for task in tasks:
-        columns = AffinityColumns.from_components(task.static, task.periodic, task.averages)
-        converted.append(
-            replace(
-                task,
-                static={},
-                periodic={},
-                averages={},
-                affinity_ref=columns,
-                n_periods=columns.n_periods,
-            )
-        )
-    return converted
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_columnar_affinity_inprocess_shm_matches_serial(
-    grid_tasks, grid_serial, n_shards
-):
-    """Columnar affinity tasks, forced shm shipment, attached in-process.
-
-    Exercises export_affinity → descriptor → reattach →
-    ``GrecaIndexFactory.build_columns`` without any process in between, so a
-    divergence here is an affinity-shipment bug, not a scheduling one.
-    """
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks),
-        factories,
-        n_shards=n_shards,
-        executor=SerialShardExecutor(),
-        shipment="shm",
-    )
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_columnar_affinity_process_shm_matches_serial(
-    grid_tasks, grid_serial, n_shards
-):
-    """Columnar affinity tasks through real process workers, {1, 2, 3, 7}."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks), factories, n_shards=n_shards, executor="process"
-    )
-    assert_records_identical(records, grid_serial)
-
-
-def test_grid_columnar_affinity_pickle_shipment_matches_serial(grid_tasks, grid_serial):
-    """Columnar tasks still work when the columns themselves pickle by value."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks),
-        factories,
-        n_shards=3,
-        executor="process",
-        shipment="pickle",
-    )
-    assert_records_identical(records, grid_serial)
-
-
-def test_columnar_task_rejects_mixed_affinity_inputs(grid_tasks):
-    """A task may carry dictionaries or a columnar reference, never both."""
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
-
-    tasks, _ = grid_tasks
-    task = tasks[0]
-    columns = AffinityColumns.from_components(task.static, task.periodic, task.averages)
-    with pytest.raises(ConfigurationError):
-        replace(task, affinity_ref=columns, n_periods=columns.n_periods)
-
-
 def test_environment_columnar_task_facade_matches_dict_task(tiny_environment, tiny_groups):
-    """task_for's columnar and dict shapes produce bit-identical records."""
+    """task_for's column-borne task reproduces the dict-built cached index exactly.
+
+    ``cached_index`` builds from the recommender's affinity dictionaries at
+    the query period; the task carries the group's full-timeline columns and
+    a period prefix.  Every affinity model must give the same record.
+    """
     from repro.parallel.worker import run_task
 
     group = tiny_groups[0]
@@ -671,10 +606,9 @@ def test_environment_columnar_task_facade_matches_dict_task(tiny_environment, ti
         dict(affinity="time-agnostic"),
         dict(affinity="none", consensus="MO"),
     ):
-        columnar = tiny_environment.task_for(group, **knobs)
-        as_dicts = tiny_environment.task_for(group, columnar=False, **knobs)
-        assert columnar.affinity_ref is not None and as_dicts.affinity_ref is None
-        assert run_task(columnar, factory) == run_task(as_dicts, factory)
+        task = tiny_environment.task_for(group, **knobs)
+        (from_dicts,) = tiny_environment.run_records([group], **knobs)
+        assert run_task(task, factory) == from_dicts
 
 
 @pytest.mark.parametrize("n_workers", SHARD_COUNTS)
@@ -691,7 +625,7 @@ def test_environment_batched_sweep_matches_serial(tiny_environment, tiny_groups,
         SweepPoint(groups=tiny_groups, n_items=120),
     ]
     serial = tiny_environment.run_sweep(points)
-    batched = tiny_environment.run_sweep(points, n_workers=n_workers)
+    batched = tiny_environment.run_sweep(points, policy=fan_out(n_workers))
     assert batched == serial
 
 
@@ -720,7 +654,9 @@ def test_batched_sweep_dispatches_once_group_major(tiny_environment, tiny_groups
         for period in tiny_environment.timeline
     ]
     serial = tiny_environment.run_sweep(points)
-    batched = tiny_environment.run_sweep(points, executor=RecordingSerialExecutor())
+    batched = tiny_environment.run_sweep(
+        points, policy=ExecutionPolicy(executor=RecordingSerialExecutor())
+    )
     assert batched == serial
     assert len(dispatches) == 1  # the whole figure sweep crossed the pool once
     (payloads,) = dispatches
@@ -740,28 +676,13 @@ def test_figure6_batched_process_dispatch_is_shard_count_invariant(
 ):
     """Figure 6's single-dispatch parallel path stays exact at every shard count."""
     serial = figure6.run(environment=tiny_environment, groups=tiny_groups)
-    sharded = figure6.run(
-        environment=tiny_environment, groups=tiny_groups, n_workers=n_workers
+    fanned = figure6.run(
+        environment=tiny_environment, groups=tiny_groups, policy=fan_out(n_workers)
     )
-    assert sharded == serial
+    assert fanned == serial
 
 
 # -- storage backends: mmap spool files behind the same descriptor seam -------------------------
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_mmap_process_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Golden grid, real process workers over file-backed columns, {1, 2, 3, 7}.
-
-    The mmap backend must be observationally invisible exactly like shm: the
-    workers attach spool files instead of ``/dev/shm`` segments, but every
-    record — %SA, SA/RA counts, top-k, stopping reasons — is bit-identical.
-    """
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks, factories, n_shards=n_shards, executor="process", storage="mmap"
-    )
-    assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
@@ -777,22 +698,7 @@ def test_grid_mmap_inprocess_attach_matches_serial(grid_tasks, grid_serial, n_sh
         tasks,
         factories,
         n_shards=n_shards,
-        executor=SerialShardExecutor(),
-        shipment="shm",
-        storage="mmap",
-    )
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_columnar_mmap_process_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Columnar affinity tasks through process workers over spool files."""
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        _columnar_grid_tasks(tasks),
-        factories,
-        n_shards=n_shards,
-        executor="process",
+        executor=ShippingSerialExecutor(),
         storage="mmap",
     )
     assert_records_identical(records, grid_serial)
@@ -803,12 +709,7 @@ def test_grid_mmap_registry_descriptors_are_spool_files(grid_tasks, grid_serial)
     tasks, factories = grid_tasks
     with SharedArrayRegistry(storage="mmap") as registry:
         records = evaluate_tasks(
-            tasks,
-            factories,
-            n_shards=3,
-            executor=SerialShardExecutor(),
-            shipment="shm",
-            registry=registry,
+            tasks, factories, n_shards=3, executor=ShippingSerialExecutor(), registry=registry
         )
         assert_records_identical(records, grid_serial)
         names = registry.segment_names
@@ -873,8 +774,7 @@ def test_storage_conflicts_with_caller_owned_registry(grid_tasks):
                 tasks,
                 factories,
                 n_shards=2,
-                executor=SerialShardExecutor(),
-                shipment="shm",
+                executor=ShippingSerialExecutor(),
                 registry=registry,
                 storage="mmap",
             )
@@ -894,10 +794,10 @@ def test_environment_mmap_storage_is_shard_count_invariant(
 ):
     """run_records over the mmap backend is exact for every required shard count."""
     serial = tiny_environment.run_records(tiny_groups)
-    sharded = tiny_environment.run_records(
-        tiny_groups, n_workers=n_workers, executor="persistent", storage="mmap"
+    spooled = tiny_environment.run_records(
+        tiny_groups, policy=fan_out(n_workers, executor="persistent", storage="mmap")
     )
-    assert_records_identical(sharded, serial)
+    assert_records_identical(spooled, serial)
     # The environment keeps one registry per storage backend; the mmap one
     # holds absolute spool paths, never shm names.
     registry = tiny_environment._registries.get("mmap")
@@ -911,37 +811,17 @@ def test_environment_average_percent_sa_mmap_matches_serial(
 ):
     """The headline statistic is exact over file-backed columns too."""
     serial = tiny_environment.average_percent_sa(tiny_groups)
-    sharded = tiny_environment.average_percent_sa(
-        tiny_groups, n_workers=2, storage="mmap"
+    spooled = tiny_environment.average_percent_sa(
+        tiny_groups, policy=fan_out(2, storage="mmap")
     )
-    assert sharded == serial
+    assert spooled == serial
 
 
-# -- ExecutionPolicy: one bundle for the knob sprawl --------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        dict(n_workers=2),
-        dict(n_workers=3, executor="serial"),
-        dict(n_workers=2, executor="persistent"),
-        dict(n_workers=2, executor="persistent", storage="mmap"),
-        dict(n_workers=2, executor="process", shipment="pickle"),
-        dict(n_workers=2, executor="supervised"),
-    ],
-)
-def test_policy_spelling_round_trips_legacy_knobs(tiny_environment, tiny_groups, knobs):
-    """policy=ExecutionPolicy(**knobs) reproduces the loose-keyword records exactly."""
-    serial = tiny_environment.run_records(tiny_groups)
-    legacy = tiny_environment.run_records(tiny_groups, **knobs)
-    bundled = tiny_environment.run_records(tiny_groups, policy=ExecutionPolicy(**knobs))
-    assert_records_identical(bundled, legacy)
-    assert_records_identical(bundled, serial)
+# -- ExecutionPolicy: one bundle for the dispatch knobs -------------------------------------------
 
 
 def test_policy_default_is_the_serial_reference(tiny_environment, tiny_groups):
-    """An all-defaults policy selects the serial path, same as no knobs at all."""
+    """An all-defaults policy selects the serial path, same as no policy at all."""
     assert ExecutionPolicy().is_serial
     assert ExecutionPolicy().storage_name == "shm"
     assert not ExecutionPolicy(n_workers=2).is_serial
@@ -950,39 +830,24 @@ def test_policy_default_is_the_serial_reference(tiny_environment, tiny_groups):
     assert_records_identical(bundled, serial)
 
 
-def test_policy_and_legacy_spellings_cannot_mix(tiny_environment, tiny_groups):
-    """Mixing policy= with any loose keyword raises at every entry point."""
-    from repro.experiments.scalability import SweepPoint
-
-    policy = ExecutionPolicy(n_workers=2)
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_policy(policy, n_workers=2)
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_policy(policy, storage="mmap")
-    with pytest.raises(ConfigurationError, match="not both"):
-        tiny_environment.run_records(tiny_groups, n_workers=2, policy=policy)
-    with pytest.raises(ConfigurationError, match="not both"):
-        tiny_environment.average_percent_sa(
-            tiny_groups, executor="persistent", policy=policy
-        )
-    with pytest.raises(ConfigurationError, match="not both"):
-        tiny_environment.run_sweep(
-            [SweepPoint(groups=tiny_groups)], storage="mmap", policy=policy
-        )
-
-
 def test_execution_policy_validates_on_construction():
-    """The bundle fails exactly where the loose knobs failed, at build time."""
+    """The bundle holds four knobs and fails at build time on a bad one."""
+    from dataclasses import fields
+
+    assert [field.name for field in fields(ExecutionPolicy)] == [
+        "n_workers",
+        "executor",
+        "supervision",
+        "storage",
+    ]
     with pytest.raises(ConfigurationError):
         ExecutionPolicy(n_workers=0)
-    with pytest.raises(ValueError, match="'serial', 'process', 'persistent'"):
-        ExecutionPolicy(n_workers=2, executor="threads")
-    with pytest.raises(ValueError, match="shipment"):
-        ExecutionPolicy(shipment="carrier-pigeon")
+    with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
+        ExecutionPolicy(n_workers=2, executor="process")
     with pytest.raises(ValueError, match="'shm', 'mmap'"):
         ExecutionPolicy(storage="tape")
     with pytest.raises(ConfigurationError):
-        resolve_policy("persistent")  # a bare string is not a policy
+        ExecutionPolicy(supervision="yes")
 
 
 def test_figure_drivers_accept_a_bundled_policy(tiny_environment, tiny_groups):
@@ -994,10 +859,3 @@ def test_figure_drivers_accept_a_bundled_policy(tiny_environment, tiny_groups):
         policy=ExecutionPolicy(n_workers=2, storage="mmap"),
     )
     assert bundled == serial
-    with pytest.raises(ConfigurationError, match="not both"):
-        figure6.run(
-            environment=tiny_environment,
-            groups=tiny_groups,
-            n_workers=2,
-            policy=ExecutionPolicy(n_workers=2),
-        )

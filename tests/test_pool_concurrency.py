@@ -29,9 +29,12 @@ import pytest
 
 from repro.core.greca import GrecaIndexFactory
 from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment
-from repro.parallel import PersistentShardExecutor, SharedArrayRegistry
+from repro.parallel import ExecutionPolicy, PersistentShardExecutor, SharedArrayRegistry
 from repro.parallel import pool as pool_module
 from test_shm_lifecycle import assert_unlinked
+
+#: The environment's warm two-worker pool.
+PERSISTENT_2 = ExecutionPolicy(n_workers=2, executor="persistent")
 
 
 class _SlowRecordingPool:
@@ -159,9 +162,7 @@ def test_two_threads_dispatching_through_one_environment(shared_environment):
     results = []
     _race(
         2,
-        lambda: results.append(
-            env.evaluate(tasks, n_workers=2, executor="persistent")
-        ),
+        lambda: results.append(env.evaluate(tasks, policy=PERSISTENT_2)),
     )
     assert len(results) == 2
     assert all(records == serial for records in results)
@@ -197,7 +198,7 @@ def test_task_for_concurrent_with_dispatch(shared_environment):
     churner.start()
     try:
         for _ in range(5):
-            assert env.evaluate(tasks, n_workers=2, executor="persistent") == serial
+            assert env.evaluate(tasks, policy=PERSISTENT_2) == serial
     finally:
         stop.set()
         churner.join()

@@ -168,8 +168,20 @@ def test_stop_drains_accepted_queries_and_rejects_new_ones(environment):
 
 
 def test_service_config_rejects_bad_knobs():
+    from dataclasses import fields
+
+    assert [field.name for field in fields(ServiceConfig)] == [
+        "n_workers",
+        "executor",
+        "max_batch_size",
+        "max_batch_delay",
+        "max_queue",
+        "storage",
+    ]
     with pytest.raises(ValueError):
         ServiceConfig(executor="no-such-backend")
+    with pytest.raises(ValueError):
+        ServiceConfig(executor=None, storage="tape")
     with pytest.raises(ConfigurationError):
         ServiceConfig(max_batch_size=0)
     with pytest.raises(ConfigurationError):

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import gc
 import os
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.core.affinity import AffinityColumns
 from repro.core.consensus import make_consensus
 from repro.core.greca import GrecaIndexFactory
 from repro.exceptions import AlgorithmError
 from repro.parallel import (
+    ExecutionPolicy,
     GroupEvalTask,
     PersistentShardExecutor,
     SharedArrayRegistry,
@@ -31,6 +34,10 @@ from repro.parallel import (
     plan_shards,
     run_shard,
 )
+from test_parallel_equivalence import ShippingSerialExecutor
+
+#: The warm two-worker pool of an environment.
+PERSISTENT_2 = ExecutionPolicy(n_workers=2, executor="persistent")
 
 
 def assert_unlinked(names):
@@ -53,16 +60,15 @@ def tiny_workload():
     }
     factory = GrecaIndexFactory(members=members, aprefs=aprefs)
     key = group_key(members)
-    static = {(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8}
+    columns = AffinityColumns.from_components({(1, 2): 0.4, (1, 3): 0.1, (2, 3): 0.8}, {}, {})
 
     def task(k: int) -> GroupEvalTask:
         return GroupEvalTask(
             group=key,
             k=k,
             consensus=make_consensus("AP"),
-            static=static,
-            periodic={},
-            averages={},
+            affinity_ref=columns,
+            n_periods=0,
             time_model="discrete",
         )
 
@@ -138,7 +144,7 @@ def test_ephemeral_registry_unlinked_after_normal_completion(
     tiny_workload, recording_registries
 ):
     factories, tasks = tiny_workload
-    records = evaluate_tasks(tasks, factories, n_shards=2, executor="process")
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert len(records) == len(tasks)
     (registry,) = recording_registries
     assert registry.closed
@@ -150,19 +156,9 @@ def test_ephemeral_registry_unlinked_after_worker_exception(
 ):
     """A task that raises inside the worker must not leak segments."""
     factories, tasks = tiny_workload
-    poisoned = tasks + [
-        GroupEvalTask(
-            group=tasks[0].group,
-            k=0,  # Greca rejects k <= 0 — worker-side, after shipment
-            consensus=tasks[0].consensus,
-            static=tasks[0].static,
-            periodic={},
-            averages={},
-            time_model="discrete",
-        )
-    ]
+    poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
     with pytest.raises(AlgorithmError):
-        evaluate_tasks(poisoned, factories, n_shards=2, executor="process")
+        evaluate_tasks(poisoned, factories, n_shards=2)
     (registry,) = recording_registries
     assert registry.closed
     assert_unlinked(registry.segment_names)
@@ -198,9 +194,7 @@ def test_ephemeral_registry_unlinked_after_worker_crash(
     factories, tasks = tiny_workload
     crash = FaultPlan((FaultSpec(shard=0, position=1, mode="crash", fires=1),))
     with pytest.raises(BrokenProcessPool):
-        evaluate_tasks(
-            tasks, factories, n_shards=1, executor="process", fault_plan=crash
-        )
+        evaluate_tasks(tasks, factories, n_shards=1, fault_plan=crash)
     (registry,) = recording_registries
     assert registry.closed
     assert_unlinked(registry.segment_names)
@@ -255,18 +249,9 @@ def test_unlink_keeps_live_worker_mappings_valid(tiny_workload):
 
 @pytest.fixture()
 def columnar_workload(tiny_workload):
-    """The tiny workload with its tasks swapped to the columnar affinity shape."""
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
-
+    """The tiny workload plus the affinity columns its tasks share."""
     factories, tasks = tiny_workload
-    columns = AffinityColumns.from_components(tasks[0].static, {}, {})
-    columnar = [
-        replace(task, static={}, periodic={}, averages={}, affinity_ref=columns, n_periods=0)
-        for task in tasks
-    ]
-    return factories, columnar, columns
+    return factories, tasks, tasks[0].affinity_ref
 
 
 def test_affinity_segments_unlink_on_context_exit(columnar_workload):
@@ -302,34 +287,6 @@ def test_affinity_export_refused_after_close(columnar_workload):
         registry.export_affinity(columns)
 
 
-def test_ephemeral_registry_with_columnar_tasks_unlinked(
-    columnar_workload, recording_registries
-):
-    """The shm-affinity default path leaks nothing after a process dispatch."""
-    factories, tasks, _ = columnar_workload
-    records = evaluate_tasks(tasks, factories, n_shards=2, executor="process")
-    assert len(records) == len(tasks)
-    (registry,) = recording_registries
-    assert registry.closed
-    assert_unlinked(registry.segment_names)
-
-
-def test_ephemeral_registry_with_columnar_tasks_unlinked_after_worker_exception(
-    columnar_workload, recording_registries
-):
-    from dataclasses import replace
-
-    from repro.exceptions import AlgorithmError
-
-    factories, tasks, _ = columnar_workload
-    poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
-    with pytest.raises(AlgorithmError):
-        evaluate_tasks(poisoned, factories, n_shards=2, executor="process")
-    (registry,) = recording_registries
-    assert registry.closed
-    assert_unlinked(registry.segment_names)
-
-
 def test_unlink_purges_local_affinity_and_index_caches(columnar_workload):
     """In-process attachments of affinity segments are forgotten on unlink."""
     from repro.parallel import shm
@@ -337,7 +294,7 @@ def test_unlink_purges_local_affinity_and_index_caches(columnar_workload):
     factories, tasks, _ = columnar_workload
     registry = SharedArrayRegistry()
     records = evaluate_tasks(
-        tasks, factories, n_shards=1, executor="serial", shipment="shm", registry=registry
+        tasks, factories, n_shards=1, executor=ShippingSerialExecutor(), registry=registry
     )
     assert len(records) == len(tasks)
     names = set(registry.segment_names)
@@ -405,8 +362,6 @@ def test_factory_memo_lru_order_respects_hits(monkeypatch):
 
 def test_index_memo_is_lru_bounded(monkeypatch, columnar_workload):
     """The per-process index memo for handle-addressed tasks stays bounded."""
-    from dataclasses import replace
-
     from repro.parallel import shm
 
     monkeypatch.setattr(shm, "INDEX_CACHE_MAX", 1)
@@ -418,7 +373,7 @@ def test_index_memo_is_lru_bounded(monkeypatch, columnar_workload):
     ]
     with SharedArrayRegistry() as registry:
         records = evaluate_tasks(
-            variants, factories, n_shards=1, executor="serial", shipment="shm", registry=registry
+            variants, factories, n_shards=1, executor=ShippingSerialExecutor(), registry=registry
         )
         assert len(records) == 2
         assert len(shm._INDEX_CACHE) <= 1
@@ -496,9 +451,6 @@ def test_recycled_segment_name_does_not_alias_stale_affinity_cache():
     names + shapes would alias the dead segment's content.  The export
     generation token is what keeps the handles distinct.
     """
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
     from repro.parallel import shm
 
     old_columns = AffinityColumns.from_components(
@@ -562,9 +514,6 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
     an index built from the *old* substrate.  The purge path must invalidate
     index entries derived from a re-exported factory too.
     """
-    from dataclasses import replace
-
-    from repro.core.affinity import AffinityColumns
     from repro.parallel import run_task
     from repro.parallel import shm
 
@@ -588,28 +537,24 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
             group=key,
             k=3,
             consensus=make_consensus("AP"),
-            static={},
-            periodic={},
-            averages={},
-            time_model="discrete",
             affinity_ref=affinity,
             n_periods=0,
+            time_model="discrete",
         )
         return build_payloads(plan_shards(1, 1), [task], {key: handle})[0]
 
     old_factory = build_factory(3)
     new_factory = build_factory(4)
 
-    # Serial reference for the NEW substrate, computed before any cache
-    # pollution (dict-based task: the columnar path must match it exactly).
+    # Serial reference for the NEW substrate, computed in-process before any
+    # cache pollution.
     reference = run_task(
         GroupEvalTask(
             group=key,
             k=3,
             consensus=make_consensus("AP"),
-            static=static,
-            periodic={},
-            averages={},
+            affinity_ref=AffinityColumns.from_components(static, {}, {}),
+            n_periods=0,
             time_model="discrete",
         ),
         new_factory,
@@ -684,14 +629,12 @@ def test_reexport_under_recycled_names_invalidates_stale_index_entries(monkeypat
 
 def test_purge_stale_drops_retired_generation_caches(columnar_workload):
     """retire_stale + purge_stale: retired-epoch caches die, live ones survive."""
-    from dataclasses import replace
-
     from repro.parallel import shm
 
     factories, tasks, columns = columnar_workload
     with SharedArrayRegistry() as registry:
         records = evaluate_tasks(
-            tasks, factories, n_shards=1, executor="serial", shipment="shm", registry=registry
+            tasks, factories, n_shards=1, executor=ShippingSerialExecutor(), registry=registry
         )
         assert len(records) == len(tasks)
         floor = registry.generation_floor
@@ -760,7 +703,7 @@ def test_retired_epoch_segments_unlink_after_in_flight_reader_drains():
     env = ScalabilityEnvironment(config)
     try:
         groups = env.random_groups()
-        env.run_records(groups, n_workers=2, executor="persistent")  # epoch-0 exports
+        env.run_records(groups, policy=PERSISTENT_2)  # epoch-0 exports
         registry = env._shared_registry()
         names_before = registry.segment_names
         assert names_before
@@ -784,7 +727,7 @@ def test_retired_epoch_segments_unlink_after_in_flight_reader_drains():
             handle.close()  # ...and the last reader draining frees the memory
 
         post_serial = env.run_records(groups)
-        post = env.run_records(groups, n_workers=2, executor="persistent")
+        post = env.run_records(groups, policy=PERSISTENT_2)
         assert post == post_serial
         # Same registry object adopted the new epoch; no retired name reused.
         assert env._shared_registry() is registry and not registry.closed
@@ -847,9 +790,7 @@ def test_mmap_ephemeral_registry_cleaned_after_normal_completion(
     tiny_workload, recording_registries
 ):
     factories, tasks = tiny_workload
-    records = evaluate_tasks(
-        tasks, factories, n_shards=2, executor="process", storage="mmap"
-    )
+    records = evaluate_tasks(tasks, factories, n_shards=2, storage="mmap")
     assert len(records) == len(tasks)
     (registry,) = recording_registries
     assert registry.closed
@@ -861,21 +802,9 @@ def test_mmap_ephemeral_registry_cleaned_after_worker_exception(
 ):
     """A task that raises inside the worker must not leave spool files behind."""
     factories, tasks = tiny_workload
-    poisoned = tasks + [
-        GroupEvalTask(
-            group=tasks[0].group,
-            k=0,  # Greca rejects k <= 0 — worker-side, after shipment
-            consensus=tasks[0].consensus,
-            static=tasks[0].static,
-            periodic={},
-            averages={},
-            time_model="discrete",
-        )
-    ]
+    poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
     with pytest.raises(AlgorithmError):
-        evaluate_tasks(
-            poisoned, factories, n_shards=2, executor="process", storage="mmap"
-        )
+        evaluate_tasks(poisoned, factories, n_shards=2, storage="mmap")
     (registry,) = recording_registries
     assert registry.closed
     assert_spool_deleted(registry.segment_names)
@@ -897,14 +826,7 @@ def test_mmap_ephemeral_registry_cleaned_after_worker_crash(
     factories, tasks = tiny_workload
     crash = FaultPlan((FaultSpec(shard=0, position=1, mode="crash", fires=1),))
     with pytest.raises(BrokenProcessPool):
-        evaluate_tasks(
-            tasks,
-            factories,
-            n_shards=1,
-            executor="process",
-            storage="mmap",
-            fault_plan=crash,
-        )
+        evaluate_tasks(tasks, factories, n_shards=1, storage="mmap", fault_plan=crash)
     (registry,) = recording_registries
     assert registry.closed
     assert_spool_deleted(registry.segment_names)
@@ -950,9 +872,7 @@ def test_shm_budget_spills_oversized_exports_to_spool(tiny_workload):
         # The spilled substrate materialises bit-identically.
         spilled = materialise_factory(handle)
         assert spilled.members == factory.members and spilled.items == factory.items
-        records = evaluate_tasks(
-            tasks, factories, n_shards=2, executor="process", registry=registry
-        )
+        records = evaluate_tasks(tasks, factories, n_shards=2, registry=registry)
         assert records == reference
     assert_spool_deleted(names)
 
@@ -1045,12 +965,14 @@ def test_fork_workers_keep_the_parents_tracker_registrations():
     script = "\n".join(
         [
             "from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment",
+            "from repro.parallel import ExecutionPolicy",
             "config = ScalabilityConfig(n_users=30, n_items=80, n_ratings=900,",
             "                           n_participants=9, n_groups=2, group_size=3, seed=3)",
             "env = ScalabilityEnvironment(config)",
             "first, second = env.random_groups()",
-            "env.run_records([first], n_workers=1, executor='persistent')",
-            "env.run_records([second], n_workers=1, executor='persistent')",
+            "policy = ExecutionPolicy(n_workers=1, executor='persistent')",
+            "env.run_records([first], policy=policy)",
+            "env.run_records([second], policy=policy)",
             "print('SEGMENTS', *env.shm_segment_names(), flush=True)",
             "env.close()",
         ]
@@ -1072,3 +994,58 @@ def test_fork_workers_keep_the_parents_tracker_registrations():
     assert len(segments) >= 2  # one export before the fork, one after
     assert "KeyError" not in done.stderr, done.stderr
     assert_unlinked(segments)
+
+
+def test_pool_forked_before_any_shm_export_shares_the_parents_tracker():
+    """Workers forked before the parent's first shm export report to its tracker.
+
+    mmap exports never start a resource tracker, so a pool warmed by an mmap
+    dispatch used to fork before one existed; the first shm attach in each
+    worker then launched a private tracker — one extra process per worker.
+    The pool now starts the parent's tracker before it forks.
+    """
+    import subprocess
+    import sys
+
+    script = "\n".join(
+        [
+            "import os, time",
+            "from multiprocessing import resource_tracker",
+            "from repro.experiments.scalability import ScalabilityConfig, ScalabilityEnvironment",
+            "from repro.parallel import ExecutionPolicy, shm",
+            "def probe():",
+            "    time.sleep(0.3)",
+            "    return os.getpid(), shm._PRIVATE_TRACKER, resource_tracker._resource_tracker._pid",
+            "config = ScalabilityConfig(n_users=60, n_items=260, n_ratings=3_000,",
+            "                           n_participants=16, n_groups=5, seed=11)",
+            "env = ScalabilityEnvironment(config)",
+            "groups = env.random_groups()",
+            "serial = env.run_records(groups)",
+            "for storage in ('mmap', 'shm'):",
+            "    policy = ExecutionPolicy(n_workers=2, executor='persistent', storage=storage)",
+            "    assert env.run_records(groups, policy=policy) == serial",
+            "pool = env._persistent_pools[2].ensure_pool()",
+            "probes = [future.result() for future in [pool.submit(probe) for _ in range(4)]]",
+            "print('PARENT', resource_tracker._resource_tracker._pid, flush=True)",
+            "for pid, private, tracker in probes:",
+            "    print('WORKER', pid, private, tracker, flush=True)",
+            "env.close()",
+        ]
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    (parent,) = [int(line[1]) for line in lines if line[0] == "PARENT"]
+    workers = {(int(line[1]), line[2], int(line[3])) for line in lines if line[0] == "WORKER"}
+    assert len({pid for pid, _, _ in workers}) == 2  # both workers were probed
+    assert all(private == "False" for _, private, _ in workers), workers
+    assert all(tracker == parent for _, _, tracker in workers), (parent, workers)
