@@ -139,5 +139,7 @@ def kernel_names() -> tuple[str, ...]:
 
 
 def resolve_kernel(name: str) -> RoundKernel:
-    """The round kernel (``name`` is one of :func:`kernel_names`)."""
+    """The round kernel; ``name`` must be one of :func:`kernel_names`."""
+    if name not in kernel_names():
+        raise ValueError(f"unknown kernel {name!r}; expected one of {kernel_names()}")
     return RoundKernel()

@@ -40,7 +40,7 @@ from repro.experiments.scalability import (
     ScalabilityConfig,
     ScalabilityEnvironment,
 )
-from repro.parallel import ExecutionPolicy
+from repro.parallel import ExecutionPolicy, evaluate_tasks, group_key
 from repro.service import GrecaService, GroupQuery, ServiceConfig
 from repro.updates import EpochManager, RatingDelta, random_deltas
 from repro.updates.epoch import JOURNAL_VERSION, delta_from_json, delta_to_json
@@ -227,6 +227,17 @@ def test_incremental_supervised_matches_oracle(evolved, oracle_env, groups):
     )
     assert_records_identical(sharded, oracle_env.run_records(groups))
     assert env.dispatch_reports[-1].ok
+
+
+@pytest.mark.parametrize("storage", ("shm", "mmap"))
+def test_incremental_process_shipment_matrix(evolved, oracle_env, groups, storage):
+    """Post-delta factories and affinity columns ship by descriptor to a
+    pool of the call's own, under both storage backends, bit-identically."""
+    env, _ = evolved
+    tasks = [env.task_for(group) for group in groups]
+    factories = {group_key(group): env.index_factory(group) for group in groups}
+    records = evaluate_tasks(tasks, factories, n_shards=2, storage=storage)
+    assert_records_identical(records, oracle_env.run_records(groups))
 
 
 def test_epoch_adoption_keeps_warm_pools_alive(base_substrate, deltas, groups, oracle_env):

@@ -223,6 +223,18 @@ def test_grid_sharded_inprocess_matches_serial(grid_tasks, grid_serial, n_shards
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_grid_sharded_process_pool_matches_serial(grid_tasks, grid_serial, n_shards):
+    """Golden grid, real process workers (shm descriptors), {1, 2, 3, 7}.
+
+    No executor is named, so the call resolves a pool of its own and shuts
+    it down on the way out.
+    """
+    tasks, factories = grid_tasks
+    records = evaluate_tasks(tasks, factories, n_shards=n_shards)
+    assert_records_identical(records, grid_serial)
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_grid_sharded_shm_inprocess_matches_serial(grid_tasks, grid_serial, n_shards):
     """Golden grid, descriptor shipment attached in-process, {1, 2, 3, 7}.
 
@@ -683,6 +695,19 @@ def test_figure6_batched_process_dispatch_is_shard_count_invariant(
 
 
 # -- storage backends: mmap spool files behind the same descriptor seam -------------------------
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_grid_mmap_process_matches_serial(grid_tasks, grid_serial, n_shards):
+    """Golden grid, real process workers over file-backed columns, {1, 2, 3, 7}.
+
+    The mmap backend must be observationally invisible exactly like shm: the
+    workers attach spool files instead of ``/dev/shm`` segments, but every
+    record — %SA, SA/RA counts, top-k, stopping reasons — is bit-identical.
+    """
+    tasks, factories = grid_tasks
+    records = evaluate_tasks(tasks, factories, n_shards=n_shards, storage="mmap")
+    assert_records_identical(records, grid_serial)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
