@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all ci test test-fast test-parallel test-chaos test-service test-epoch test-storage test-slow serve-smoke bench perfbench-gate bench-engine bench-all golden golden-freshness
+.PHONY: all ci test test-fast test-parallel test-chaos test-service test-epoch test-slow serve-smoke shm-sweep bench perfbench-gate bench-engine bench-all golden golden-freshness
 
 # Default: the fast equivalence suite (golden grid + property/metamorphic
 # tests) plus the perf budget gate, so access-equivalence and performance
@@ -19,10 +19,10 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q
 
 # Serial ≡ parallel equivalence of the sharded group-evaluation layer
-# (shard planner, in-process and persistent-pool workers, descriptor
-# shipment over shm and mmap, order-restoring merge; shard counts
-# {1, 2, 3, 7} plus random-partition property cases) and the shm
-# segment-lifecycle suite.
+# (shard planner, in-process and persistent-pool workers, shared-memory
+# descriptor shipment, order-restoring merge, the ExecutionPolicy bundle;
+# shard counts {1, 2, 3, 7} plus random-partition property cases) and the
+# shm segment-lifecycle suite.
 test-parallel:
 	$(PYTHON) -m pytest tests/test_parallel_equivalence.py tests/test_shm_lifecycle.py -q
 
@@ -49,19 +49,21 @@ test-epoch:
 		tests/test_fault_tolerance.py::test_supervised_crash_during_epoch_adoption_recovers_on_new_epoch \
 		"tests/test_shm_lifecycle.py::test_retired_epoch_segments_unlink_after_in_flight_reader_drains" -q
 
-# Storage suite: the mmap spool backend and the ExecutionPolicy bundle —
-# file-backed columns bit-identical to shm and serial across shard counts,
-# spool-file lifecycle (normal exit, worker crash, KeyboardInterrupt), the
-# /dev/shm budget spill guard, shm/mmap handle anti-aliasing and the
-# ExecutionPolicy bundle, plus the mmap epoch-swap cases.
-test-storage:
-	$(PYTHON) -m pytest tests/test_parallel_equivalence.py tests/test_shm_lifecycle.py tests/test_epoch_updates.py -q -k "storage or mmap or spool or policy"
-
 # Serving smoke gate: start the service on the scaled-down substrate, fire
 # the load generator at it, and self-check — responses bit-identical to the
 # serial reference, p50/p95/p99 recorded, /dev/shm empty after the drain.
 serve-smoke:
 	$(PYTHON) -m repro.service --smoke --clients 4 --queries 5 --check-equivalence
+
+# Whole-run leak check: fails when any shared-memory segment (psm_*) is
+# left in /dev/shm.  The suites assert unlink per scenario; this catches
+# whatever slipped past them.
+shm-sweep:
+	@if ls /dev/shm | grep -q '^psm_'; then \
+		echo "leaked shared-memory segments:"; ls -l /dev/shm | grep 'psm_'; \
+		exit 1; \
+	fi; \
+	echo "/dev/shm is clean"
 
 # Minutes-scale opt-in tests (full MovieLens-1M synthetic substrate,
 # Table 5 headline statistics).  Gated behind the `slow` marker via
@@ -106,4 +108,4 @@ golden-freshness:
 # Everything CI runs, in CI's order — reproduce a red pipeline locally
 # without pushing.  (CI additionally fans test-fast out over Python
 # 3.10/3.11/3.12 and treats the bench budget as advisory on shared runners.)
-ci: test-fast test-parallel test-chaos test-service test-epoch test-storage serve-smoke bench golden-freshness perfbench-gate
+ci: test-fast test-parallel test-chaos test-service test-epoch serve-smoke bench golden-freshness perfbench-gate shm-sweep

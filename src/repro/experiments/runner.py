@@ -25,11 +25,6 @@ Usage::
                                                        # dispatch summary at the end
                                                        # (--shard-timeout/--retries
                                                        # tune the policy)
-    python -m repro.experiments.runner --workers 4 --storage mmap
-                                                       # same bit-identical results,
-                                                       # but the column store spools
-                                                       # to memory-mapped files
-                                                       # instead of /dev/shm
     python -m repro.experiments.runner --paper-scale --workers 4
                                                        # the full MovieLens-1M-scale
                                                        # substrate, serial vs sharded
@@ -66,7 +61,6 @@ from repro.parallel import (
     executor_names,
     summarise_reports,
     validate_executor_name,
-    validate_storage_name,
 )
 from repro.study.environment import build_study_environment
 
@@ -100,9 +94,8 @@ def run_all(
     warm worker pool across the whole figure suite, paying spawn and
     substrate shipment once — or ``supervised``, which adds fault-tolerant
     dispatch on top of that warm pool and prints a recovery summary at the
-    end), its supervision tunes the supervised policy (timeouts, retry
-    budget) and its storage picks the column-store backend (``shm`` shared
-    memory or ``mmap`` spool files).
+    end), and its supervision tunes the supervised policy (timeouts, retry
+    budget).
     """
     selected = list(names) if names else list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
@@ -188,15 +181,6 @@ def main(argv: list[str] | None = None) -> int:
         "unknown names raise ValueError at the single validation choice point)",
     )
     parser.add_argument(
-        "--storage",
-        default=None,
-        metavar="NAME",
-        help='column-store backend for sharded evaluation: "shm" shared '
-        'memory (the default) or "mmap" memory-mapped spool files — the '
-        "same axis ExecutionPolicy(storage=...) bundles programmatically; "
-        "unknown names raise ValueError at the single storage choice point",
-    )
-    parser.add_argument(
         "--paper-scale",
         action="store_true",
         help="run the full MovieLens-1M-scale substrate serially and sharded "
@@ -247,14 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             forwarded += ["--workers", str(args.workers)]
         if args.executor is not None:
             forwarded += ["--executor", args.executor]
-        if args.storage is not None:
-            forwarded += ["--storage", args.storage]
         return service_main(forwarded)
-    if args.storage is not None:
-        # The single storage choice point (repro.parallel.storage
-        # .validate_storage_name): unknown backends fail here, not deep
-        # inside an export.
-        validate_storage_name(args.storage)
     if args.paper_scale and args.workers is None:
         args.workers = 4
     if args.executor is not None:
@@ -282,12 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(EXPERIMENTS))
         return 0
     policy = None
-    if args.workers is not None or args.executor is not None or args.storage is not None:
+    if args.workers is not None or args.executor is not None:
         policy = ExecutionPolicy(
-            n_workers=args.workers,
-            executor=args.executor,
-            supervision=supervision,
-            storage=args.storage,
+            n_workers=args.workers, executor=args.executor, supervision=supervision
         )
     if args.paper_scale:
         from repro.experiments.scalability import run_paper_scale

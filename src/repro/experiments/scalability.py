@@ -30,10 +30,8 @@ process workers, each worker receives the memoised per-group factories of
 its shard (exported to the column store once, never rebuilt), and the
 per-shard records merge back deterministically in group order.  Serial stays
 the default and the reference semantics; ``tests/test_parallel_equivalence.py``
-proves the sharded path bit-identical to it.  The policy's ``storage`` axis
-selects which column-store backend the environment's registry exports into
-(``"shm"`` shared memory or ``"mmap"`` spool files); the environment keeps
-one registry per backend so both can serve dispatches side by side.
+proves the sharded path bit-identical to it.  The environment owns one
+shared-memory registry whose segments every dispatch ships by descriptor.
 :func:`run_paper_scale` drives the full Table 5-scale substrate
 (:meth:`ScalabilityConfig.paper_scale`) through that layer.
 """
@@ -66,7 +64,6 @@ from repro.groups.formation import GroupFormer
 from repro.parallel import (
     EXECUTOR_PERSISTENT,
     EXECUTOR_SUPERVISED,
-    STORAGE_SHM,
     DispatchReport,
     ExecutionPolicy,
     FaultPlan,
@@ -76,7 +73,6 @@ from repro.parallel import (
     ShardExecutor,
     SharedArrayRegistry,
     SupervisedDispatch,
-    SupervisionPolicy,
     available_cpus,
     evaluate_tasks,
     group_key,
@@ -307,20 +303,17 @@ class ScalabilityEnvironment:
         # prefix), and the shm registry memoises one segment per entry.
         self._affinity_columns: dict[tuple, tuple[AffinityColumns, str]] = {}
         # Parallel resources, created lazily and released by close(): one
-        # warm persistent pool per worker count and one column-store
-        # registry per storage backend ("shm" / "mmap") whose segments are
-        # shipped (once) to every dispatch using that backend.
+        # warm persistent pool per worker count and one shared-memory
+        # registry whose segments are shipped (once) to every dispatch.
         self._persistent_pools: dict[int, PersistentShardExecutor] = {}
-        self._registries: dict[str, SharedArrayRegistry] = {}
-        # Fault-tolerant dispatch: the policy ``executor="supervised"`` runs
-        # under (mutable — assign to tune), and the report trail of every
-        # supervised dispatch this environment performed.
-        self.supervision = SupervisionPolicy()
+        self._registry: SharedArrayRegistry | None = None
+        # The report trail of every supervised dispatch this environment
+        # performed.
         self.dispatch_reports: list[DispatchReport] = []
         # One reentrant lock serialises every memo/lifecycle mutation above:
         # the serving layer dispatches from worker threads while clients keep
         # materialising tasks, and unlocked check-then-set on the pool or
-        # registry dicts would let two threads build (and orphan) duplicates.
+        # registry slot would let two threads build (and orphan) duplicates.
         self._state_lock = threading.RLock()
 
     # -- parallel resource ownership ---------------------------------------------------------
@@ -338,31 +331,26 @@ class ScalabilityEnvironment:
                 self._persistent_pools[int(n_workers)] = pool
             return pool
 
-    def _shared_registry(self, storage: str = STORAGE_SHM) -> SharedArrayRegistry:
-        """The environment's registry for ``storage`` (recreated lazily after close())."""
+    def _shared_registry(self) -> SharedArrayRegistry:
+        """The environment's shm registry (recreated lazily after close())."""
         with self._state_lock:
-            registry = self._registries.get(storage)
-            if registry is None or registry.closed:
-                registry = SharedArrayRegistry(storage=storage)
-                self._registries[storage] = registry
-            return registry
+            if self._registry is None or self._registry.closed:
+                self._registry = SharedArrayRegistry()
+            return self._registry
 
     def shm_segment_names(self) -> tuple[str, ...]:
-        """Names of the live column-store segments this environment owns.
+        """Names of the live shared-memory segments this environment owns.
 
-        Shared-memory segment names and mmap spool-file paths alike, across
-        every storage backend the environment has exported into.  Empty when
-        no registry exists (nothing parallel has run, or :meth:`close`
-        already released everything).  The serving layer's shutdown checks
-        and the lifecycle tests use this to assert ``/dev/shm`` — and the
-        spool directory — really are clean.
+        Empty when no registry exists (nothing parallel has run, or
+        :meth:`close` already released everything).  The serving layer's
+        shutdown checks and the lifecycle tests use this to assert
+        ``/dev/shm`` really is clean.
         """
         with self._state_lock:
-            names: list[str] = []
-            for registry in self._registries.values():
-                if not registry.closed:
-                    names.extend(registry.segment_names)
-            return tuple(names)
+            registry = self._registry
+            if registry is None or registry.closed:
+                return ()
+            return registry.segment_names
 
     def _resolve_backend(
         self, executor: ShardExecutor | str | None, n_workers: int | None
@@ -370,7 +358,9 @@ class ScalabilityEnvironment:
         """Resolve ``executor=`` — routing ``"persistent"`` to the warm pool.
 
         ``"supervised"`` wraps the warm pool in a fresh
-        :class:`SupervisedDispatch` under :attr:`supervision` — a fresh
+        :class:`SupervisedDispatch` under the default
+        :class:`~repro.parallel.SupervisionPolicy` (a policy's
+        ``supervision`` overrides it inside ``evaluate_tasks``) — a fresh
         wrapper per call (wrappers are cheap and stateless between runs)
         around the memoised pool, so supervised dispatches still reuse warm
         workers and survive :meth:`close` (the next call re-wraps whatever
@@ -380,12 +370,7 @@ class ScalabilityEnvironment:
         if executor == EXECUTOR_PERSISTENT:
             return self._persistent_pool(n_workers), False
         if executor == EXECUTOR_SUPERVISED:
-            supervised = SupervisedDispatch(
-                self._persistent_pool(n_workers),
-                policy=self.supervision,
-                owns_executor=False,
-            )
-            return supervised, False
+            return SupervisedDispatch(self._persistent_pool(n_workers)), False
         backend = resolve_executor(executor, n_workers)
         return backend, backend is not executor
 
@@ -401,11 +386,10 @@ class ScalabilityEnvironment:
         with self._state_lock:
             pools = list(self._persistent_pools.values())
             self._persistent_pools.clear()
-            registries = list(self._registries.values())
-            self._registries.clear()
+            registry, self._registry = self._registry, None
         for pool in pools:
             pool.shutdown()
-        for registry in registries:
+        if registry is not None:
             registry.close()
 
     def __enter__(self) -> "ScalabilityEnvironment":
@@ -508,18 +492,12 @@ class ScalabilityEnvironment:
         # Retire shm exports whose memos just died: their segments unlink
         # now, and the next dispatch's payloads carry the raised generation
         # floor so warm workers purge the dead caches — no pool restart.
-        retired_names: list[str] = []
-        for registry in self._registries.values():
-            if not registry.closed:
-                retired_names.extend(
-                    registry.retire_stale(
-                        live_factories=list(self._index_factories.values()),
-                        live_columns=[
-                            entry[0] for entry in self._affinity_columns.values()
-                        ],
-                    )
-                )
-        retired = tuple(retired_names)
+        retired: tuple[str, ...] = ()
+        if self._registry is not None and not self._registry.closed:
+            retired = self._registry.retire_stale(
+                live_factories=list(self._index_factories.values()),
+                live_columns=[entry[0] for entry in self._affinity_columns.values()],
+            )
 
         self.epoch += 1
         return DeltaReport(
@@ -745,14 +723,14 @@ class ScalabilityEnvironment:
         ``executor="persistent"`` reuses one warm worker pool per worker
         count across calls (released by :meth:`close`);
         ``executor="supervised"`` adds the fault-tolerant dispatch tier on
-        top of that warm pool, under this environment's :attr:`supervision`
-        policy.  Each supervised dispatch appends its
+        top of that warm pool, under the default supervision policy.  Each
+        supervised dispatch appends its
         :class:`~repro.parallel.DispatchReport` to :attr:`dispatch_reports`.
-        A policy ``supervision`` (or ``True``) supervises any parallel
-        backend, ``storage`` selects the column-store backend descriptors
-        point into (the environment keeps one registry per backend), and
-        ``fault_plan=`` injects deterministic faults (the chaos suite's
-        hook).  Serial evaluation ignores the last three.
+        A policy ``supervision`` (a
+        :class:`~repro.parallel.SupervisionPolicy`) tunes the supervised
+        tier or supervises a pool of the call's own, and ``fault_plan=``
+        injects deterministic faults (the chaos suite's hook).  Serial
+        evaluation ignores both.
         """
         policy = policy or ExecutionPolicy()
         if policy.is_serial:
@@ -761,15 +739,10 @@ class ScalabilityEnvironment:
             self.index_factory(task.group)
         backend, owned = self._resolve_backend(policy.executor, policy.n_workers)
         # Process-crossing backends ship zero-copy: the environment-owned
-        # registry for the policy's storage backend places each memoised
-        # factory's arrays in its column store once, and every dispatch
-        # (figure drivers, persistent-pool calls) references the same
-        # segments.
-        registry = (
-            self._shared_registry(policy.storage_name)
-            if backend.ships_payloads
-            else None
-        )
+        # registry places each memoised factory's arrays in shared memory
+        # once, and every dispatch (figure drivers, persistent-pool calls)
+        # references the same segments.
+        registry = self._shared_registry() if backend.ships_payloads else None
         # Snapshot the factory memo: concurrent service requests keep
         # inserting factories via task_for while this dispatch iterates the
         # map, and sharing the live dict would intermittently raise
@@ -783,7 +756,6 @@ class ScalabilityEnvironment:
                 n_shards=policy.n_workers,
                 executor=backend,
                 registry=registry,
-                storage=policy.storage,
                 supervision=policy.supervision,
                 fault_plan=fault_plan,
                 reports=self.dispatch_reports,

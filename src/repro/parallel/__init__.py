@@ -22,18 +22,14 @@ keeping the serial semantics bit-exact:
   gluing them together (descriptor shipment whenever payloads cross a
   process boundary);
 * :mod:`repro.parallel.resilience` — the ``supervised`` fault-tolerant
-  dispatch tier: :class:`SupervisedDispatch` wraps any executor with
-  per-shard timeouts, bounded deterministic retries, pool self-healing and
-  serial degradation, reports every recovery in a :class:`DispatchReport`,
-  and ships a deterministic :class:`FaultPlan` chaos harness for the
-  fault-tolerance suite;
-* :mod:`repro.parallel.storage` — the storage tier behind the descriptor
-  seam: spool-backed memory-mapped file segments (``storage="mmap"``) as
-  the out-of-core alternative to ``/dev/shm``, selected per registry and
-  spilled to automatically past a configurable shm budget;
+  dispatch tier: :class:`SupervisedDispatch` wraps a warm persistent pool
+  with per-shard timeouts, bounded deterministic retries, pool self-healing
+  and serial degradation, reports every recovery in a
+  :class:`DispatchReport`, and ships a deterministic :class:`FaultPlan`
+  chaos harness for the fault-tolerance suite;
 * :mod:`repro.parallel.policy` — :class:`ExecutionPolicy`, the one frozen
   bundle of the dispatch knobs (``n_workers`` / ``executor`` /
-  ``supervision`` / ``storage``).
+  ``supervision``).
 
 Serial execution remains the reference semantics everywhere: the sharded
 path must (and, per ``tests/test_parallel_equivalence.py``, does) reproduce
@@ -81,14 +77,6 @@ from repro.parallel.shm import (
     resolve_affinity_columns,
     resolve_factory,
 )
-from repro.parallel.storage import (
-    STORAGE_MMAP,
-    STORAGE_SHM,
-    VALID_STORAGES,
-    MappedFileSegment,
-    SpoolDirectory,
-    validate_storage_name,
-)
 from repro.parallel.worker import (
     GroupEvalTask,
     GroupRunRecord,
@@ -109,10 +97,7 @@ __all__ = [
     "FaultSpec",
     "GroupEvalTask",
     "GroupRunRecord",
-    "MappedFileSegment",
     "PersistentShardExecutor",
-    "STORAGE_MMAP",
-    "STORAGE_SHM",
     "SerialShardExecutor",
     "ShardAttempt",
     "ShardExecutor",
@@ -122,11 +107,9 @@ __all__ = [
     "SharedArraySpec",
     "ShmAffinityHandle",
     "ShmFactoryHandle",
-    "SpoolDirectory",
     "SupervisedDispatch",
     "SupervisionPolicy",
     "VALID_FAULT_MODES",
-    "VALID_STORAGES",
     "attach_array",
     "available_cpus",
     "build_payloads",
@@ -146,6 +129,5 @@ __all__ = [
     "run_task",
     "summarise_reports",
     "validate_executor_name",
-    "validate_storage_name",
 ]
 

@@ -12,7 +12,7 @@ equivalence tests drive this function directly with synthetic grid cases.
 Shipment: tasks ship by descriptor exactly when the resolved backend
 crosses a process boundary (``ships_payloads``).  The factories' large
 arrays and every task's :class:`~repro.core.affinity.AffinityColumns` are
-then exported to the column store (:mod:`repro.parallel.shm`) and the
+then exported to shared-memory segments (:mod:`repro.parallel.shm`) and the
 payloads carry only descriptors; in-process backends get the objects
 themselves.  A registry created here is unlinked in a ``finally`` — after
 normal completion, after a worker exception and after an interrupt alike —
@@ -33,12 +33,10 @@ from repro.parallel.resilience import (
     SupervisedDispatch,
     SupervisionPolicy,
     attach_fault_plan,
-    coerce_policy,
     fault_plan_from_env,
 )
 from repro.parallel.sharding import ShardPlan, plan_shards
 from repro.parallel.shm import SharedArrayRegistry
-from repro.parallel.storage import STORAGE_SHM, validate_storage_name
 from repro.parallel.worker import (
     GroupEvalTask,
     GroupKey,
@@ -79,8 +77,7 @@ def evaluate_tasks(
     executor: ShardExecutor | str | None = None,
     plan: ShardPlan | None = None,
     registry: SharedArrayRegistry | None = None,
-    storage: str | None = None,
-    supervision: SupervisionPolicy | bool | None = None,
+    supervision: SupervisionPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     reports: list | None = None,
 ) -> list[GroupRunRecord]:
@@ -119,23 +116,17 @@ def evaluate_tasks(
         dispatches share segments).  When omitted and the backend ships
         payloads, an ephemeral registry is created and unlinked on the way
         out, success or failure.
-    storage:
-        ``"shm"`` (shared-memory segments, the default) or ``"mmap"``
-        (memory-mapped spool files) — the backend descriptors point into,
-        validated at the single storage choice point
-        (:func:`repro.parallel.storage.validate_storage_name`).  An
-        ephemeral registry is created with this backend; a caller-owned
-        ``registry=`` must already match (mismatching the two is a
-        configuration error, not a silent preference).
     supervision:
-        A :class:`~repro.parallel.resilience.SupervisionPolicy` (or ``True``
-        for the defaults) arms fault-tolerant dispatch: the resolved backend
-        is wrapped in a :class:`~repro.parallel.resilience.SupervisedDispatch`
-        enforcing per-shard timeouts, bounded retries with deterministic
-        backoff, pool rebuilds and serial degradation — all bit-identical to
-        an unsupervised run by the architecture invariant.  When the backend
+        A :class:`~repro.parallel.resilience.SupervisionPolicy` arms
+        fault-tolerant dispatch: the resolved worker pool is wrapped in a
+        :class:`~repro.parallel.resilience.SupervisedDispatch` enforcing
+        per-shard timeouts, bounded retries with deterministic backoff, pool
+        rebuilds and serial degradation — all bit-identical to an
+        unsupervised run by the architecture invariant.  Only a worker pool
+        can be supervised (an in-process backend raises
+        :class:`~repro.exceptions.ConfigurationError`).  When the backend
         already *is* a supervisor (``executor="supervised"`` or a held
-        instance), a policy here overrides its current one.
+        instance), the policy here overrides its current one.
     fault_plan:
         A :class:`~repro.parallel.resilience.FaultPlan` attached to every
         payload — the deterministic chaos hook the fault-tolerance suite
@@ -153,27 +144,19 @@ def evaluate_tasks(
     else:
         backend = resolve_executor(executor, n_shards)
     owns_backend = backend is not executor
-    policy = coerce_policy(supervision)
     if isinstance(backend, SupervisedDispatch):
-        if policy is not None:
-            backend.policy = policy
-    elif policy is not None:
+        if supervision is not None:
+            backend.policy = supervision
+    elif supervision is not None:
         # owns_backend on the wrapper transfers inner-pool ownership: the
         # finally below shuts the wrapper down, and the wrapper only shuts
-        # its inner executor when that inner was resolved here (a caller's
-        # warm pool instance stays warm).
-        backend = SupervisedDispatch(backend, policy=policy, owns_executor=owns_backend)
+        # its inner pool when that pool was resolved here (a caller's warm
+        # pool instance stays warm).
+        backend = SupervisedDispatch(backend, policy=supervision, owns_executor=owns_backend)
         owns_backend = True
     if fault_plan is None:
         fault_plan = fault_plan_from_env()
     ships = backend.ships_payloads
-    if storage is not None:
-        validate_storage_name(storage)
-        if registry is not None and registry.storage != storage:
-            raise ConfigurationError(
-                f"storage={storage!r} conflicts with the caller-owned registry's "
-                f"storage={registry.storage!r}"
-            )
     if plan is None:
         if n_shards is None:
             n_shards = getattr(backend, "n_workers", 1)
@@ -182,7 +165,7 @@ def evaluate_tasks(
     try:
         if ships:
             if registry is None:
-                registry = SharedArrayRegistry(storage=storage or STORAGE_SHM)
+                registry = SharedArrayRegistry()
                 owns_registry = True
             needed = {task.group for task in tasks}
             factories = {

@@ -32,10 +32,9 @@ by hand, so the ``supervised`` fault-tolerant wrapper of
 :mod:`repro.parallel.resilience`, which registers itself on import, appears
 in the error text automatically.  Both :func:`resolve_executor` (the library
 path) and the runner's ``--executor`` flag go through it, so an unknown name
-fails at the choice point instead of deep inside ``evaluate_tasks``.
-``storage=`` strings validate the same way through
-:func:`repro.parallel.storage.validate_storage_name`, and the whole knob
-bundle lives in one frozen :class:`~repro.parallel.policy.ExecutionPolicy`.
+fails at the choice point instead of deep inside ``evaluate_tasks``.  The
+whole knob bundle lives in one frozen
+:class:`~repro.parallel.policy.ExecutionPolicy`.
 
 The context-managed shared-memory registry that guarantees segment unlink on
 exit/failure lives in :mod:`repro.parallel.shm` and is re-exported here as

@@ -1,20 +1,19 @@
 """Fault-tolerant dispatch supervision for the sharded parallel layer.
 
-PRs 3–5 made the parallel tier fast — persistent pools, zero-copy shm
-shipment, batched multi-query dispatch — but left it fragile: one crashed or
-wedged worker killed a whole figure sweep, and callers had no retry or
-fallback.  This module turns dispatch into a supervised operation:
+Persistent pools, zero-copy shm shipment and batched multi-query dispatch
+make the parallel tier fast, but on their own one crashed or wedged worker
+kills a whole figure sweep, with no retry or fallback.  This module turns
+dispatch into a supervised operation:
 
-* :class:`SupervisedDispatch` wraps any
-  :class:`~repro.parallel.pool.ShardExecutor` and adds four recovery tiers,
-  none of which can change results (the architecture invariant: any shard
-  partition, any backend, any shipment merges to the bit-identical serial
-  sequence):
+* :class:`SupervisedDispatch` wraps a warm
+  :class:`~repro.parallel.pool.PersistentShardExecutor` and adds four
+  recovery tiers, none of which can change results (the architecture
+  invariant: any shard partition, any backend, any shipment merges to the
+  bit-identical serial sequence):
 
   1. **per-shard wall-clock timeouts** — each shard future is awaited
      against its own deadline, so a stalled worker costs one timeout, not
-     the whole run (preemptive timeouts need a process boundary; in-process
-     backends run unpreempted);
+     the whole run;
   2. **bounded retries with deterministic backoff** — failed or timed-out
      shards are re-dispatched up to :attr:`SupervisionPolicy.max_retries`
      times, sleeping exponentially with *seeded* jitter
@@ -76,7 +75,6 @@ from repro.exceptions import (
 )
 from repro.parallel.pool import (
     PersistentShardExecutor,
-    SerialShardExecutor,
     ShardExecutor,
     register_executor,
 )
@@ -106,7 +104,6 @@ FAULT_STALL_SECONDS_ENV = "REPRO_FAULT_STALL_SECONDS"
 
 #: Attempt-record backends (where a shard attempt actually ran).
 BACKEND_POOLED = "pooled"
-BACKEND_INLINE = "inline"
 BACKEND_DEGRADED = "serial-degraded"
 
 #: Attempt-record outcomes.
@@ -299,19 +296,6 @@ class SupervisionPolicy:
         return base * (1.0 + self.jitter * draw)
 
 
-def coerce_policy(supervision: "SupervisionPolicy | bool | None") -> "SupervisionPolicy | None":
-    """Normalise the user-facing ``supervision=`` knob into a policy."""
-    if supervision is None or supervision is False:
-        return None
-    if supervision is True:
-        return SupervisionPolicy()
-    if isinstance(supervision, SupervisionPolicy):
-        return supervision
-    raise ConfigurationError(
-        f"supervision must be a SupervisionPolicy, True or None, got {supervision!r}"
-    )
-
-
 # -- structured reporting ------------------------------------------------------------------------
 
 
@@ -471,14 +455,12 @@ def _rewrite_payload(payload: ShardPayload, mapping: dict[str, str]) -> ShardPay
 
 
 class SupervisedDispatch(ShardExecutor):
-    """A fault-tolerant wrapper around any :class:`ShardExecutor`.
+    """A fault-tolerant wrapper around a warm :class:`PersistentShardExecutor`.
 
-    A wrapped :class:`~repro.parallel.pool.PersistentShardExecutor` gets
-    the full treatment — per-shard timeouts, retries, pool rebuilds, shm
-    re-export, serial degradation.  In-process executors get retries and
-    degradation only: preemptive timeouts need a process
-    boundary, and a planned ``crash`` inside the parent is the caller's
-    own foot-gun (the chaos suite injects crashes into pooled backends).
+    Per-shard timeouts, retries, pool rebuilds, shm re-export and serial
+    degradation all act on the wrapped pool, so anything else — an
+    in-process executor, or another supervisor — is refused at
+    construction with :class:`~repro.exceptions.ConfigurationError`.
 
     ``registry`` is the shm registry whose segments the current payloads
     reference; :func:`repro.parallel.evaluate_tasks` assigns it for the
@@ -487,15 +469,21 @@ class SupervisedDispatch(ShardExecutor):
     supervisor built around a caller's warm pool must not shut it down.
     """
 
+    #: The wrapped pool's payloads always cross a process boundary.
+    ships_payloads = True
+
     def __init__(
         self,
-        executor: ShardExecutor,
+        executor: PersistentShardExecutor,
         policy: SupervisionPolicy | None = None,
         registry: SharedArrayRegistry | None = None,
         owns_executor: bool = False,
     ) -> None:
-        if isinstance(executor, SupervisedDispatch):
-            raise ConfigurationError("supervisors do not nest: wrap the inner executor once")
+        if not isinstance(executor, PersistentShardExecutor):
+            raise ConfigurationError(
+                "supervision wraps a PersistentShardExecutor, "
+                f"got {type(executor).__name__}"
+            )
         self.executor = executor
         self.policy = policy or SupervisionPolicy()
         self.registry = registry
@@ -503,21 +491,14 @@ class SupervisedDispatch(ShardExecutor):
         self.last_report: DispatchReport | None = None
 
     @property
-    def ships_payloads(self) -> bool:  # type: ignore[override]
-        """Shipment crosses a process boundary iff the inner backend's does."""
-        return self.executor.ships_payloads
-
-    @property
     def warm(self) -> bool:
-        """``True`` while the inner backend holds a live worker pool."""
-        return bool(getattr(self.executor, "warm", False))
+        """``True`` while the wrapped pool holds live workers."""
+        return self.executor.warm
 
     def shutdown(self) -> None:
-        """Release the inner executor's workers — only if this wrapper owns it."""
+        """Release the wrapped pool's workers — only if this wrapper owns it."""
         if self.owns_executor:
-            shutdown = getattr(self.executor, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
+            self.executor.shutdown()
 
     def __enter__(self) -> "SupervisedDispatch":
         return self
@@ -533,9 +514,7 @@ class SupervisedDispatch(ShardExecutor):
             return []
         builder = _ReportBuilder()
         try:
-            if isinstance(self.executor, PersistentShardExecutor):
-                return self._run_pooled(self.executor, payloads, builder)
-            return self._run_inline(payloads, builder)
+            return self._run_pooled(self.executor, payloads, builder)
         finally:
             # The report survives failure too: a propagated error still
             # leaves the full attempt chronology on last_report.
@@ -650,47 +629,6 @@ class SupervisedDispatch(ShardExecutor):
                     )
             if pending and backoff > 0:
                 time.sleep(backoff)
-        return results
-
-    # -- inline tier ---------------------------------------------------------------------
-
-    def _run_inline(
-        self, payloads: Sequence[ShardPayload], builder: _ReportBuilder
-    ) -> list[tuple[GroupRunRecord, ...]]:
-        policy = self.policy
-        results = []
-        for payload in payloads:
-            attempt = payload.attempt
-            current = payload
-            while True:
-                started = time.perf_counter()
-                try:
-                    if isinstance(self.executor, SerialShardExecutor):
-                        records = run_shard(current)
-                    else:
-                        (records,) = self.executor.run([current])
-                except Exception as exc:
-                    elapsed = time.perf_counter() - started
-                    builder.record(
-                        current.shard_index, attempt, BACKEND_INLINE, OUTCOME_ERROR, elapsed, exc
-                    )
-                    attempt += 1
-                    performed = attempt - payload.attempt
-                    if performed > policy.max_retries:
-                        records = self._degrade(current, attempt, builder, exc)
-                        results.append(records)
-                        break
-                    backoff = policy.backoff_seconds(current.shard_index, performed)
-                    if backoff > 0:
-                        time.sleep(backoff)
-                    current = replace(current, attempt=attempt)
-                else:
-                    elapsed = time.perf_counter() - started
-                    builder.record(
-                        current.shard_index, attempt, BACKEND_INLINE, OUTCOME_OK, elapsed
-                    )
-                    results.append(records)
-                    break
         return results
 
     # -- recovery helpers ----------------------------------------------------------------

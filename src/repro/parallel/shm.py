@@ -51,27 +51,14 @@ pickled factory (enforced by ``tests/test_parallel_equivalence.py``'s shm
 axes).
 
 Sizing caveat: segments live in ``/dev/shm`` (a tmpfs typically capped at
-half the host's RAM).  The registry keeps one float64 copy of each exported
-substrate for the lifetime of the environment — the same order of memory the
-pickle path peaked at per dispatch, but held flat instead of re-allocated
-per shard.
-
-Storage tier (PR 9): every descriptor carries a ``storage`` discriminator —
-:data:`~repro.parallel.storage.STORAGE_SHM` (a ``/dev/shm`` segment) or
-:data:`~repro.parallel.storage.STORAGE_MMAP` (a memory-mapped spool file,
-see :mod:`repro.parallel.storage`) — and the registry packs exports into
-either backend (``storage=`` at construction, or automatically when a
-projected shm export would blow a configured ``/dev/shm`` budget).  Workers
-attach both the same way: one read-only mapping per segment, numpy views at
-descriptor offsets, identical unlink-while-mapped drain semantics.  The
-``storage`` field participates in descriptor (and therefore handle)
-equality, so an shm export and an mmap export of the same logical column
-can never alias one worker-cache entry.
+half the host's RAM, and at 64 MB in a default Docker container).  The
+registry keeps one float64 copy of each exported substrate for the lifetime
+of the environment — the same order of memory the pickle path peaked at per
+dispatch, but held flat instead of re-allocated per shard.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -84,18 +71,6 @@ import numpy as np
 from repro.core.affinity import AffinityColumns
 from repro.core.greca import GrecaIndex, GrecaIndexFactory
 from repro.exceptions import ConfigurationError
-from repro.parallel.storage import (
-    STORAGE_MMAP,
-    STORAGE_SHM,
-    MappedFileSegment,
-    SpoolDirectory,
-    default_shm_budget_bytes,
-    validate_storage_name,
-)
-
-#: Either backend's mapped-segment object: both expose ``name``/``size``/
-#: ``buf``/``close()``/``unlink()`` with identical semantics.
-Segment = shared_memory.SharedMemory | MappedFileSegment
 
 #: Byte alignment of arrays packed into one segment.
 _ALIGNMENT = 16
@@ -130,12 +105,10 @@ _OWNED_NAMES: set[str] = set()
 #: would unlink the parent's segments when it exits.
 _PRIVATE_TRACKER = False
 
-#: Process-local cache of attached segments (name → mapped segment, either
-#: backend).  Entries stay mapped for the life of the process so numpy views
-#: handed out by :func:`attach_array` never lose their buffer.  Spool-file
-#: names are absolute paths and shm names contain no separator, so the two
-#: backends' names can never collide in this map.
-_ATTACHED: dict[str, Segment] = {}
+#: Process-local cache of attached segments (name → mapped segment).  Entries
+#: stay mapped for the life of the process so numpy views handed out by
+#: :func:`attach_array` never lose their buffer.
+_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 #: Newest export generation observed per attached segment name.  A mapping
 #: attached for generation g is stale the moment a handle for the same name
@@ -187,48 +160,23 @@ def _cache_put(cache: OrderedDict, key, value, max_entries: int) -> None:
 #: alive when their registry unlinked.  Kept referenced so the mapping (and
 #: the views into it) stay valid and ``SharedMemory.__del__`` never fires
 #: mid-run with exported buffers; the OS reclaims everything at process exit.
-_ZOMBIES: list[Segment] = []
+_ZOMBIES: list[shared_memory.SharedMemory] = []
 
 
 @dataclass(frozen=True)
 class SharedArraySpec:
-    """Picklable descriptor of one ndarray inside a mapped segment.
-
-    ``storage`` names the backend the segment lives in — a ``/dev/shm``
-    shared-memory segment (``"shm"``, with ``segment`` the POSIX name) or a
-    memory-mapped spool file (``"mmap"``, with ``segment`` the absolute
-    path).  It participates in equality, so descriptors (and the handles
-    built from them) for the same logical column in different backends can
-    never compare equal — worker caches keyed on handles cannot alias
-    across storage tiers.
-    """
+    """Picklable descriptor of one ndarray inside a shared-memory segment."""
 
     segment: str
     shape: tuple[int, ...]
     dtype: str
     offset: int = 0
-    storage: str = STORAGE_SHM
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the described array in bytes."""
-        count = 1
-        for extent in self.shape:
-            count *= extent
-        return count * np.dtype(self.dtype).itemsize
 
 
-def _attached_segment(name: str, storage: str = STORAGE_SHM) -> Segment:
+def _attached_segment(name: str) -> shared_memory.SharedMemory:
     """Attach (once per process) to a named segment and keep it mapped."""
     segment = _ATTACHED.get(name)
     if segment is None:
-        if storage == STORAGE_MMAP:
-            # Spool files never touch the resource tracker: attaching maps
-            # the file read-only, and only the owning registry unlinks it.
-            # A vanished file raises FileNotFoundError like an shm attach.
-            segment = MappedFileSegment(name)
-            _ATTACHED[name] = segment
-            return segment
         global _PRIVATE_TRACKER
         if resource_tracker._resource_tracker._fd is None:
             # No tracker yet: the attach below launches one for this process.
@@ -281,7 +229,7 @@ def _record_attachment_generation(names: set[str], generation: int) -> None:
 
 def attach_array(spec: SharedArraySpec) -> np.ndarray:
     """A read-only ndarray view over the described segment region (no copy)."""
-    segment = _attached_segment(spec.segment, spec.storage)
+    segment = _attached_segment(spec.segment)
     count = 1
     for extent in spec.shape:
         count *= extent
@@ -321,7 +269,7 @@ def _forget_segments(names: Sequence[str]) -> None:
                 _ZOMBIES.append(segment)
 
 
-def _release_segments(segments: list[Segment], names: list[str]) -> None:
+def _release_segments(segments: list[shared_memory.SharedMemory], names: list[str]) -> None:
     """Unlink every created segment (idempotent; the finalizer backstop)."""
     _forget_segments(names)
     while segments:
@@ -375,13 +323,6 @@ class ShmFactoryHandle:
             names.add(self.items_spec.segment)
         return names
 
-    def payload_bytes(self) -> int:
-        """Bytes of array data this handle references (not ships)."""
-        total = self.matrix.nbytes + self.repr_rank.nbytes
-        if self.items_spec is not None:
-            total += self.items_spec.nbytes
-        return total
-
 
 def materialise_factory(handle: ShmFactoryHandle) -> GrecaIndexFactory:
     """Rebuild (once per process, LRU-bounded) the factory around the attached arrays."""
@@ -434,10 +375,6 @@ class ShmAffinityHandle:
     def segment_names(self) -> set[str]:
         """Every segment this handle references."""
         return {self.static.segment, self.periodic.segment, self.averages.segment}
-
-    def payload_bytes(self) -> int:
-        """Bytes of array data this handle references (not ships)."""
-        return self.static.nbytes + self.periodic.nbytes + self.averages.nbytes
 
 
 def materialise_affinity(handle: ShmAffinityHandle) -> AffinityColumns:
@@ -582,33 +519,10 @@ class SharedArrayRegistry:
     the ``with`` block, an explicit :meth:`close`, and a ``weakref.finalize``
     backstop that fires at garbage collection or interpreter shutdown even
     after an exception or a ``KeyboardInterrupt``.
-
-    ``storage=`` selects the backend exports are packed into: ``"shm"``
-    (default) places arrays in ``/dev/shm`` segments, ``"mmap"`` in
-    memory-mapped files under a private spool directory (created lazily,
-    removed with the registry).  An shm registry additionally *spills* to
-    the spool when a projected export would push its live shm bytes past
-    ``shm_budget_bytes`` (default: the ``REPRO_SHM_BUDGET_BYTES`` env var),
-    so catalogues that outgrow ``/dev/shm`` degrade to the page cache
-    instead of failing.  Both backends honour identical unlink/close/retire
-    semantics, so every lifecycle guarantee above covers spool files too.
     """
 
-    def __init__(
-        self,
-        storage: str = STORAGE_SHM,
-        spool_dir: str | None = None,
-        shm_budget_bytes: int | None = None,
-    ) -> None:
-        self.storage = validate_storage_name(storage)
-        self._spool_root = spool_dir
-        self._spool: SpoolDirectory | None = None
-        self._shm_budget = (
-            default_shm_budget_bytes() if shm_budget_bytes is None else shm_budget_bytes
-        )
-        self._shm_bytes = 0
-        self._spill_count = 0
-        self._segments: list[Segment] = []
+    def __init__(self) -> None:
+        self._segments: list[shared_memory.SharedMemory] = []
         self._names: list[str] = []
         self._handles: dict[int, tuple[GrecaIndexFactory, ShmFactoryHandle]] = {}
         self._affinity_handles: dict[int, tuple[AffinityColumns, ShmAffinityHandle]] = {}
@@ -635,25 +549,13 @@ class SharedArrayRegistry:
         """Names of every segment created (and owned) by this registry."""
         return tuple(self._names)
 
-    @property
-    def spool_path(self) -> str | None:
-        """The spool directory path, once any mmap export created it."""
-        return None if self._spool is None else self._spool.path
-
-    @property
-    def spill_count(self) -> int:
-        """How many shm exports the /dev/shm budget redirected to the spool."""
-        return self._spill_count
-
     def close(self) -> None:
-        """Unlink every owned segment (and spool file); idempotent, thread-safe."""
+        """Unlink every owned segment; idempotent, thread-safe."""
         with self._lock:
             self._closed = True
             self._handles.clear()
             self._affinity_handles.clear()
             self._finalizer()
-            if self._spool is not None:
-                self._spool.close()
 
     def __enter__(self) -> "SharedArrayRegistry":
         return self
@@ -686,27 +588,18 @@ class SharedArrayRegistry:
         mapping: dict[str, str] = {}
         for position, name in enumerate(list(self._names)):
             old = self._segments[position]
-            if isinstance(old, MappedFileSegment):
-                # Spool files probe by path; a vanished file is re-spooled
-                # under a fresh (never-recycled) name from the old mapping's
-                # still-valid bytes.
-                if os.path.exists(name):
-                    continue
-                fresh: Segment = self._spool_store().create_segment(old.size)
+            try:
+                probe = shared_memory.SharedMemory(name=name)
+            except FileNotFoundError:
+                fresh = shared_memory.SharedMemory(create=True, size=old.size)
             else:
-                try:
-                    probe = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    fresh = shared_memory.SharedMemory(create=True, size=old.size)
-                else:
-                    # Still attachable — just drop the probe mapping.  No
-                    # tracker unregister here: the name is *owned* by this
-                    # process, so the probe's attach-registration was an
-                    # idempotent no-op on the already-tracked name, and
-                    # unregistering would strip the ownership registration
-                    # the eventual unlink pairs with.
-                    probe.close()
-                    continue
+                # Still attachable — just drop the probe mapping.  No tracker
+                # unregister here: the name is *owned* by this process, so
+                # the probe's attach-registration was an idempotent no-op on
+                # the already-tracked name, and unregistering would strip the
+                # ownership registration the eventual unlink pairs with.
+                probe.close()
+                continue
             fresh.buf[: old.size] = old.buf[: old.size]
             # The OS may hand back a *recycled* name — one an earlier
             # (since unlinked) segment used while this process cached
@@ -715,8 +608,7 @@ class SharedArrayRegistry:
             # dead segment's content.  Must run before the ownership
             # registration below (_forget_segments drops owned names).
             _forget_segments([fresh.name])
-            if not isinstance(fresh, MappedFileSegment):
-                _OWNED_NAMES.add(fresh.name)
+            _OWNED_NAMES.add(fresh.name)
             # In-place index assignment: the finalizer backstop holds
             # references to these exact list objects.
             self._segments[position] = fresh
@@ -805,9 +697,6 @@ class SharedArrayRegistry:
             position = self._names.index(name)
             segment = self._segments.pop(position)
             del self._names[position]
-            if not isinstance(segment, MappedFileSegment):
-                # Retired shm bytes stop counting against the spill budget.
-                self._shm_bytes -= segment.size
             _forget_segments([name])
             try:
                 segment.unlink()
@@ -827,12 +716,6 @@ class SharedArrayRegistry:
         with self._lock:
             return self._share_arrays_locked(arrays)
 
-    def _spool_store(self) -> SpoolDirectory:
-        """The registry's spool directory, created lazily (caller holds the lock)."""
-        if self._spool is None or self._spool.closed:
-            self._spool = SpoolDirectory(self._spool_root)
-        return self._spool
-
     def _share_arrays_locked(self, arrays: Sequence[np.ndarray]) -> list[SharedArraySpec]:
         if self._closed:
             raise ConfigurationError("the shared-array registry is closed")
@@ -843,31 +726,14 @@ class SharedArrayRegistry:
             total = (total + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
             offsets.append(total)
             total += array.nbytes
-        size = max(total, 1)
-        storage = self.storage
-        if (
-            storage == STORAGE_SHM
-            and self._shm_budget is not None
-            and self._shm_bytes + size > self._shm_budget
-        ):
-            # Spill guard: this export would blow the /dev/shm budget — back
-            # it with a spool file instead and let the page cache absorb it.
-            storage = STORAGE_MMAP
-            self._spill_count += 1
-        if storage == STORAGE_MMAP:
-            segment: Segment = self._spool_store().create_segment(size)
-        else:
-            segment = shared_memory.SharedMemory(create=True, size=size)
-            self._shm_bytes += size
-        # A fresh shm segment can land on a recycled name (one a
-        # since-unlinked segment used while this process cached attachments
-        # or indexes for it) — drop any such stale process-local state before
-        # the name can alias.  Spool names are never recycled, but the purge
-        # is an idempotent no-op there.  Ordering matters: _forget_segments
-        # drops owned names, so the shm ownership registration follows it.
+        segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
+        # A fresh segment can land on a recycled name (one a since-unlinked
+        # segment used while this process cached attachments or indexes for
+        # it) — drop any such stale process-local state before the name can
+        # alias.  Ordering matters: _forget_segments drops owned names, so
+        # the ownership registration follows it.
         _forget_segments([segment.name])
-        if storage == STORAGE_SHM:
-            _OWNED_NAMES.add(segment.name)
+        _OWNED_NAMES.add(segment.name)
         self._segments.append(segment)
         self._names.append(segment.name)
         specs = []
@@ -883,7 +749,6 @@ class SharedArrayRegistry:
                     shape=tuple(array.shape),
                     dtype=array.dtype.str,
                     offset=offset,
-                    storage=storage,
                 )
             )
         return specs

@@ -185,9 +185,8 @@ def _stable_index_key(task: GroupEvalTask, factory_ref: object) -> tuple | None:
     identity); they still batch within one payload via the shard-local memo.
 
     Handle equality covers the full descriptor — segment name, shape, dtype,
-    offset, *storage backend* and export generation — so an shm handle and
-    an mmap handle for the same logical column, or two exports over a
-    recycled segment name, can never alias one memo entry.
+    offset — and the export generation, so two exports over a recycled
+    segment name can never alias one memo entry.
     """
     from repro.parallel.shm import ShmAffinityHandle, ShmFactoryHandle
 

@@ -38,21 +38,11 @@ SMOKE_CONFIG = ScalabilityConfig(
 
 
 def leaked_segments(names: list[str]) -> list[str]:
-    """The subset of column-store segment names still present on the system.
-
-    Shared-memory names are probed by attaching; mmap spool files — the
-    names containing a path separator, which ``/dev/shm`` names never do —
-    by a plain existence check.
-    """
-    import os
+    """The subset of shared-memory segment names still present on the system."""
     from multiprocessing import resource_tracker, shared_memory
 
     leaked = []
     for name in names:
-        if os.path.isabs(name):
-            if os.path.exists(name):
-                leaked.append(name)
-            continue
         try:
             segment = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
@@ -78,14 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="supervised",
         help='dispatch backend ("supervised", "persistent", "serial") or '
         '"reference" for the in-process serial path',
-    )
-    parser.add_argument(
-        "--storage",
-        default=None,
-        help='column-store backend dispatches export into: "shm" shared '
-        'memory (the default) or "mmap" spool files — the same axis '
-        "ExecutionPolicy(storage=...) bundles programmatically; validated "
-        "at the repro.parallel.storage choice point",
     )
     parser.add_argument("--clients", type=int, default=4, help="concurrent clients")
     parser.add_argument("--queries", type=int, default=5, help="queries per client")
@@ -122,7 +104,6 @@ async def run(args: argparse.Namespace) -> int:
         executor=None if args.executor == "reference" else args.executor,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay,
-        storage=args.storage,
     )
     service = GrecaService(
         config=service_config,

@@ -70,9 +70,6 @@ class ServiceConfig:
     companions before dispatching.  ``max_queue`` bounds the submit queue —
     a full queue sheds load with :class:`ServiceError` instead of growing
     without bound.
-
-    ``storage`` selects the column-store backend dispatches export into
-    (``"shm"`` shared memory — the default — or ``"mmap"`` spool files).
     """
 
     n_workers: int = 2
@@ -80,7 +77,6 @@ class ServiceConfig:
     max_batch_size: int = 32
     max_batch_delay: float = 0.005
     max_queue: int = 1024
-    storage: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -91,20 +87,18 @@ class ServiceConfig:
             raise ConfigurationError("max_batch_delay must be >= 0")
         if self.max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
-        self.execution_policy()  # validates executor and storage names
+        self.execution_policy()  # validates the executor name
 
     def execution_policy(self) -> ExecutionPolicy:
         """The dispatch policy every batch runs under.
 
         ``executor=None`` is the in-process serial reference path,
         ``n_workers`` notwithstanding; any other executor runs sharded at
-        ``n_workers`` over ``storage``.
+        ``n_workers``.
         """
         if self.executor is None:
-            return ExecutionPolicy(storage=self.storage)
-        return ExecutionPolicy(
-            n_workers=self.n_workers, executor=self.executor, storage=self.storage
-        )
+            return ExecutionPolicy()
+        return ExecutionPolicy(n_workers=self.n_workers, executor=self.executor)
 
 
 @dataclass(frozen=True)

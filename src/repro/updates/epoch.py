@@ -18,11 +18,10 @@ bit-identical to a full rebuild over the merged substrate, so a restored
 manager reaches exactly the state the snapshotted one held — the epoch
 round-trip test asserts record-level equality after restore.
 
-Storage-agnostic by construction: :meth:`apply` retires stale column-store
-exports through the environment, which sweeps *every* registry it holds —
-shared-memory segments unlink and mmap spool files delete under the same
-generation-token floor, so epoch adoption behaves identically whichever
-``ExecutionPolicy.storage`` backend later dispatches run under.
+Column-store cleanup rides along: :meth:`apply` retires stale exports
+through the environment's shared-memory registry — their segments unlink,
+and warm workers drop cached state below the raised generation floor on
+their next dispatch.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ merged ratings/likes/timeline" world.  Every test compares the evolved
 
 * serial records across periods / consensus / k / item-subset knobs;
 * the sharded tiers at shard counts {1, 2, 3, 7} — persistent warm pools
-  over shared memory and mmap spool files, and supervised dispatch;
+  over shared memory, and supervised dispatch;
 * the figure 6 / figure 8 drivers;
 * the asyncio service: ``submit_delta`` between query waves, with epoch
   adoption and **zero pool restarts** (asserted via pool object identity);
@@ -29,7 +29,6 @@ serial ≡ parallel discipline.
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 
@@ -229,14 +228,13 @@ def test_incremental_supervised_matches_oracle(evolved, oracle_env, groups):
     assert env.dispatch_reports[-1].ok
 
 
-@pytest.mark.parametrize("storage", ("shm", "mmap"))
-def test_incremental_process_shipment_matrix(evolved, oracle_env, groups, storage):
+def test_incremental_process_shipment_matrix(evolved, oracle_env, groups):
     """Post-delta factories and affinity columns ship by descriptor to a
-    pool of the call's own, under both storage backends, bit-identically."""
+    pool of the call's own, bit-identically."""
     env, _ = evolved
     tasks = [env.task_for(group) for group in groups]
     factories = {group_key(group): env.index_factory(group) for group in groups}
-    records = evaluate_tasks(tasks, factories, n_shards=2, storage=storage)
+    records = evaluate_tasks(tasks, factories, n_shards=2)
     assert_records_identical(records, oracle_env.run_records(groups))
 
 
@@ -257,56 +255,6 @@ def test_epoch_adoption_keeps_warm_pools_alive(base_substrate, deltas, groups, o
     assert env._shared_registry() is registry and not registry.closed
     assert_records_identical(post, oracle_env.run_records(groups))
     env.close()
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_incremental_mmap_storage_matrix(evolved, oracle_env, groups, n_shards):
-    """File-backed columns over post-delta state, shard counts {1, 2, 3, 7}.
-
-    The evolved environment sits three epoch swaps past its base substrate;
-    dispatching it over the mmap backend must still reproduce the rebuilt
-    oracle bit-for-bit — the spool files carry the *adopted* epoch's bytes.
-    """
-    env, _ = evolved
-    sharded = env.run_records(
-        groups, policy=ExecutionPolicy(n_workers=n_shards, storage="mmap")
-    )
-    assert_records_identical(sharded, oracle_env.run_records(groups))
-
-
-def test_epoch_adoption_retires_spool_files_and_adopts(
-    base_substrate, deltas, groups, oracle_env
-):
-    """mmap across epoch swaps: retired spool files delete, fresh ones adopt.
-
-    Mirrors the warm-pool adoption contract on the file-backed tier — the
-    epoch-0 exports live as spool files, each swap's retirement deletes the
-    stale ones under the same generation-token floor that unlinks shm
-    segments, and the post-swap dispatch serves the new epoch through the
-    *same* registry object from fresh files.  Closing the environment leaves
-    the spool directory gone entirely.
-    """
-    env = ScalabilityEnvironment(CONFIG, substrate=base_substrate)
-    policy = ExecutionPolicy(n_workers=2, executor="persistent", storage="mmap")
-    env.run_records(groups, policy=policy)  # epoch-0 spool exports
-    registry = env._shared_registry("mmap")
-    names_before = registry.segment_names
-    assert names_before and all(os.path.isabs(name) for name in names_before)
-    retired: list[str] = []
-    for delta in deltas:
-        report = env.apply_delta(delta)
-        retired.extend(report.retired_segments)
-    retired_files = [name for name in retired if os.path.isabs(name)]
-    assert retired_files  # the swaps actually retired spool-file exports
-    assert all(not os.path.exists(name) for name in retired_files)
-    post = env.run_records(groups, policy=policy)
-    assert env._shared_registry("mmap") is registry and not registry.closed
-    assert set(registry.segment_names).isdisjoint(retired_files)
-    assert_records_identical(post, oracle_env.run_records(groups))
-    spool = registry.spool_path
-    env.close()
-    assert not os.path.exists(spool)
-    assert all(not os.path.exists(name) for name in names_before)
 
 
 def test_figure_drivers_match_full_rebuild(evolved, oracle_env, groups):

@@ -355,32 +355,6 @@ def test_supervisor_heals_externally_unlinked_segments(workload, reference):
     assert_unlinked(names)
 
 
-# -- the inline tier ----------------------------------------------------------------------------
-
-
-def test_inline_supervision_retries_in_process(workload, reference):
-    """A supervised serial executor retries exceptions without any pool."""
-    factories, tasks = workload
-    supervisor = SupervisedDispatch(
-        SerialShardExecutor(), policy=SupervisionPolicy(**FAST)
-    )
-    plan = FaultPlan((FaultSpec(shard=1, position=0, mode="raise", fires=1),))
-    reports: list[DispatchReport] = []
-    records = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=2,
-        executor=supervisor,
-        fault_plan=plan,
-        reports=reports,
-    )
-    (report,) = reports
-    assert records == reference
-    assert report.ok
-    assert {a.backend for a in report.attempts} == {"inline"}
-    assert [a.outcome for a in report.attempts if a.shard == 1] == ["error", "ok"]
-
-
 def test_supervision_keyword_wraps_any_backend(workload, reference):
     """evaluate_tasks(supervision=...) supervises the pool it builds itself."""
     factories, tasks = workload
@@ -457,9 +431,12 @@ def test_policy_and_spec_validation():
 
 
 def test_supervisors_do_not_nest():
-    inner = SupervisedDispatch(SerialShardExecutor())
+    """A supervisor wraps a warm pool: not another supervisor, not an in-process executor."""
+    inner = SupervisedDispatch(PersistentShardExecutor(2))
     with pytest.raises(ConfigurationError):
         SupervisedDispatch(inner)
+    with pytest.raises(ConfigurationError):
+        SupervisedDispatch(SerialShardExecutor())
 
 
 def test_report_properties_and_summaries(workload, reference):

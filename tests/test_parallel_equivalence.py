@@ -9,9 +9,9 @@ reference sequence.  This suite pins that down at three levels:
 * **engine level** — the golden grid of :mod:`engine_grid` replayed through
   :func:`repro.parallel.evaluate_tasks` at shard counts {1, 2, 3, 7}, with
   the in-process executor (objects handed over as they are, or shipped as
-  column-store descriptors like a process pool gets them), the persistent
-  pool and both storage backends (shared memory and mmap spool files),
-  against a serial :class:`~repro.core.greca.Greca` reference run;
+  shared-memory descriptors like a process pool gets them) and the
+  persistent pool, against a serial :class:`~repro.core.greca.Greca`
+  reference run;
 * **plan level** — seeded property cases: *arbitrary* partitions of the task
   indices (shuffled, uneven, non-contiguous) merge to exactly the serial
   sequence, so the planner's particular slicing policy is irrelevant to
@@ -29,7 +29,6 @@ floating-point divergence.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -430,6 +429,18 @@ def test_runner_rejects_unknown_executor_before_running():
         runner.main(["--executor", "threads", "--list"])
 
 
+def test_runner_rejects_unknown_storage_before_running(capsys):
+    """Shared memory is the one column store: neither CLI takes --storage."""
+    from repro.experiments import runner
+    from repro.service.__main__ import build_parser
+
+    with pytest.raises(SystemExit):
+        runner.main(["--storage", "tape", "--list"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--storage", "shm"])
+    assert "--storage" in capsys.readouterr().err
+
+
 def test_run_shard_preserves_shard_order(grid_tasks):
     """Worker-side records come back in shard task order."""
     tasks, factories = grid_tasks
@@ -520,7 +531,7 @@ def test_environment_persistent_executor_is_shard_count_invariant(
     # The environment memoised a warm pool for this worker count...
     assert tiny_environment._persistent_pools[n_workers].warm
     # ...and its shm registry owns the shipped segments.
-    registry = tiny_environment._registries.get("shm")
+    registry = tiny_environment._registry
     assert registry is not None and not registry.closed
 
 
@@ -542,7 +553,7 @@ def test_environment_close_releases_and_recreates_lazily(tiny_environment, tiny_
     serial = tiny_environment.run_records(tiny_groups)
     persistent = fan_out(2, executor="persistent")
     tiny_environment.run_records(tiny_groups, policy=persistent)
-    registry = tiny_environment._registries["shm"]
+    registry = tiny_environment._registry
     names = registry.segment_names
     assert names  # shm shipment actually happened
     tiny_environment.close()
@@ -694,161 +705,12 @@ def test_figure6_batched_process_dispatch_is_shard_count_invariant(
     assert fanned == serial
 
 
-# -- storage backends: mmap spool files behind the same descriptor seam -------------------------
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_mmap_process_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Golden grid, real process workers over file-backed columns, {1, 2, 3, 7}.
-
-    The mmap backend must be observationally invisible exactly like shm: the
-    workers attach spool files instead of ``/dev/shm`` segments, but every
-    record — %SA, SA/RA counts, top-k, stopping reasons — is bit-identical.
-    """
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(tasks, factories, n_shards=n_shards, storage="mmap")
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_grid_mmap_inprocess_attach_matches_serial(grid_tasks, grid_serial, n_shards):
-    """Forced descriptor shipment attached in-process, file-backed columns.
-
-    Exercises export → spool file → reattach → ``GrecaIndexFactory
-    .from_columns`` without any process in between, so a divergence here is a
-    storage-backend bug, not a scheduling one.
-    """
-    tasks, factories = grid_tasks
-    records = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=n_shards,
-        executor=ShippingSerialExecutor(),
-        storage="mmap",
-    )
-    assert_records_identical(records, grid_serial)
-
-
-def test_grid_mmap_registry_descriptors_are_spool_files(grid_tasks, grid_serial):
-    """A caller-owned mmap registry exports absolute spool paths, all deleted on close."""
-    tasks, factories = grid_tasks
-    with SharedArrayRegistry(storage="mmap") as registry:
-        records = evaluate_tasks(
-            tasks, factories, n_shards=3, executor=ShippingSerialExecutor(), registry=registry
-        )
-        assert_records_identical(records, grid_serial)
-        names = registry.segment_names
-        assert names and all(os.path.isabs(name) for name in names)
-        assert all(os.path.exists(name) for name in names)
-        assert all(name.startswith(registry.spool_path) for name in names)
-    assert registry.closed
-    assert all(not os.path.exists(name) for name in names)
-    assert not os.path.exists(registry.spool_path)
-
-
-def test_grid_mmap_supervised_fault_recovery_matches_serial(grid_tasks, grid_serial):
-    """The chaos path over file-backed columns: recovery is still bit-identical.
-
-    One clean worker exception plus one hard crash; the supervisor retries,
-    rebuilds the pool, re-ships the spool-file descriptors, and the merged
-    records equal the serial reference exactly.
-    """
-    from repro.parallel import FaultPlan, FaultSpec, SupervisionPolicy
-
-    tasks, factories = grid_tasks
-    plan = FaultPlan(
-        (
-            FaultSpec(shard=0, position=1, mode="raise", fires=1),
-            FaultSpec(shard=1, position=0, mode="crash", fires=1),
-        )
-    )
-    records = evaluate_tasks(
-        tasks,
-        factories,
-        n_shards=3,
-        executor="supervised",
-        storage="mmap",
-        supervision=SupervisionPolicy(max_retries=2, backoff_base=0.001),
-        fault_plan=plan,
-    )
-    assert_records_identical(records, grid_serial)
-
-
-@pytest.mark.parametrize("bogus", ["disk", "file", "MMAP", "tape", ""])
-def test_unknown_storage_raises_value_error(grid_tasks, bogus):
-    """Unknown storage names fail at the single choice point, listing backends."""
-    from repro.parallel import validate_storage_name
-
-    tasks, factories = grid_tasks
-    with pytest.raises(ValueError, match="'shm', 'mmap'"):
-        validate_storage_name(bogus)
-    with pytest.raises(ValueError, match="'shm', 'mmap'"):
-        evaluate_tasks(
-            tasks, factories, n_shards=2, executor=SerialShardExecutor(), storage=bogus
-        )
-    with pytest.raises(ValueError, match="'shm', 'mmap'"):
-        ExecutionPolicy(storage=bogus)
-
-
-def test_storage_conflicts_with_caller_owned_registry(grid_tasks):
-    """storage= must agree with a caller-owned registry's backend."""
-    tasks, factories = grid_tasks
-    with SharedArrayRegistry() as registry:
-        with pytest.raises(ConfigurationError, match="storage"):
-            evaluate_tasks(
-                tasks,
-                factories,
-                n_shards=2,
-                executor=ShippingSerialExecutor(),
-                registry=registry,
-                storage="mmap",
-            )
-
-
-def test_runner_rejects_unknown_storage_before_running():
-    """--storage goes through the same choice point, before any experiment."""
-    from repro.experiments import runner
-
-    with pytest.raises(ValueError, match="'shm', 'mmap'"):
-        runner.main(["--storage", "tape", "--list"])
-
-
-@pytest.mark.parametrize("n_workers", SHARD_COUNTS)
-def test_environment_mmap_storage_is_shard_count_invariant(
-    tiny_environment, tiny_groups, n_workers
-):
-    """run_records over the mmap backend is exact for every required shard count."""
-    serial = tiny_environment.run_records(tiny_groups)
-    spooled = tiny_environment.run_records(
-        tiny_groups, policy=fan_out(n_workers, executor="persistent", storage="mmap")
-    )
-    assert_records_identical(spooled, serial)
-    # The environment keeps one registry per storage backend; the mmap one
-    # holds absolute spool paths, never shm names.
-    registry = tiny_environment._registries.get("mmap")
-    assert registry is not None and not registry.closed
-    assert registry.storage == "mmap"
-    assert all(os.path.isabs(name) for name in registry.segment_names)
-
-
-def test_environment_average_percent_sa_mmap_matches_serial(
-    tiny_environment, tiny_groups
-):
-    """The headline statistic is exact over file-backed columns too."""
-    serial = tiny_environment.average_percent_sa(tiny_groups)
-    spooled = tiny_environment.average_percent_sa(
-        tiny_groups, policy=fan_out(2, storage="mmap")
-    )
-    assert spooled == serial
-
-
 # -- ExecutionPolicy: one bundle for the dispatch knobs -------------------------------------------
 
 
 def test_policy_default_is_the_serial_reference(tiny_environment, tiny_groups):
     """An all-defaults policy selects the serial path, same as no policy at all."""
     assert ExecutionPolicy().is_serial
-    assert ExecutionPolicy().storage_name == "shm"
     assert not ExecutionPolicy(n_workers=2).is_serial
     serial = tiny_environment.run_records(tiny_groups)
     bundled = tiny_environment.run_records(tiny_groups, policy=ExecutionPolicy())
@@ -856,31 +718,35 @@ def test_policy_default_is_the_serial_reference(tiny_environment, tiny_groups):
 
 
 def test_execution_policy_validates_on_construction():
-    """The bundle holds four knobs and fails at build time on a bad one."""
+    """The bundle holds three knobs and fails at build time on a bad one."""
     from dataclasses import fields
 
     assert [field.name for field in fields(ExecutionPolicy)] == [
         "n_workers",
         "executor",
         "supervision",
-        "storage",
     ]
     with pytest.raises(ConfigurationError):
         ExecutionPolicy(n_workers=0)
     with pytest.raises(ValueError, match="'serial', 'persistent', 'supervised'"):
         ExecutionPolicy(n_workers=2, executor="process")
-    with pytest.raises(ValueError, match="'shm', 'mmap'"):
-        ExecutionPolicy(storage="tape")
     with pytest.raises(ConfigurationError):
         ExecutionPolicy(supervision="yes")
+    # Supervision is a SupervisionPolicy or None; True is not a spelling.
+    with pytest.raises(ConfigurationError):
+        ExecutionPolicy(n_workers=2, supervision=True)
 
 
 def test_figure_drivers_accept_a_bundled_policy(tiny_environment, tiny_groups):
-    """Figure 6 under policy=(2 workers, mmap) equals its serial rendering."""
+    """Figure 6 under a policy that sets all three knobs equals its serial rendering."""
+    from repro.parallel import SupervisionPolicy
+
     serial = figure6.run(environment=tiny_environment, groups=tiny_groups)
     bundled = figure6.run(
         environment=tiny_environment,
         groups=tiny_groups,
-        policy=ExecutionPolicy(n_workers=2, storage="mmap"),
+        policy=ExecutionPolicy(
+            n_workers=2, executor="supervised", supervision=SupervisionPolicy(max_retries=1)
+        ),
     )
     assert bundled == serial

@@ -176,12 +176,9 @@ def test_service_config_rejects_bad_knobs():
         "max_batch_size",
         "max_batch_delay",
         "max_queue",
-        "storage",
     ]
     with pytest.raises(ValueError):
         ServiceConfig(executor="no-such-backend")
-    with pytest.raises(ValueError):
-        ServiceConfig(executor=None, storage="tape")
     with pytest.raises(ConfigurationError):
         ServiceConfig(max_batch_size=0)
     with pytest.raises(ConfigurationError):

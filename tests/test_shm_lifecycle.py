@@ -738,218 +738,6 @@ def test_retired_epoch_segments_unlink_after_in_flight_reader_drains():
     assert_unlinked(names_after)
 
 
-# -- spool-file lifecycle: the mmap backend mirrors every unlink guarantee ----------------------
-
-
-def assert_spool_deleted(names):
-    """Every named spool file must be gone from the filesystem."""
-    assert names, "expected at least one spool file to have been created"
-    assert all(os.path.isabs(name) for name in names)
-    for name in names:
-        assert not os.path.exists(name), f"orphaned spool file: {name}"
-
-
-def test_mmap_registry_deletes_spool_on_normal_context_exit(tiny_workload):
-    factories, _ = tiny_workload
-    with SharedArrayRegistry(storage="mmap") as registry:
-        handle = registry.export(next(iter(factories.values())))
-        names = registry.segment_names
-        assert handle.matrix.storage == "mmap"
-        # While open, the spool files are attachable and carry the real bytes.
-        assert all(os.path.exists(name) for name in names)
-        assert all(name.startswith(registry.spool_path) for name in names)
-    assert registry.closed
-    assert_spool_deleted(names)
-    assert not os.path.exists(registry.spool_path)
-
-
-def test_mmap_registry_deletes_spool_when_the_body_raises(tiny_workload):
-    factories, _ = tiny_workload
-    with pytest.raises(RuntimeError):
-        with SharedArrayRegistry(storage="mmap") as registry:
-            registry.export(next(iter(factories.values())))
-            names = registry.segment_names
-            raise RuntimeError("boom")
-    assert_spool_deleted(names)
-
-
-def test_mmap_registry_finalizer_is_a_gc_backstop(tiny_workload):
-    """An abandoned mmap registry still deletes its spool at collection."""
-    factories, _ = tiny_workload
-    registry = SharedArrayRegistry(storage="mmap")
-    registry.export(next(iter(factories.values())))
-    names = registry.segment_names
-    spool = registry.spool_path
-    del registry
-    gc.collect()
-    assert_spool_deleted(names)
-    assert not os.path.exists(spool)
-
-
-def test_mmap_ephemeral_registry_cleaned_after_normal_completion(
-    tiny_workload, recording_registries
-):
-    factories, tasks = tiny_workload
-    records = evaluate_tasks(tasks, factories, n_shards=2, storage="mmap")
-    assert len(records) == len(tasks)
-    (registry,) = recording_registries
-    assert registry.closed
-    assert_spool_deleted(registry.segment_names)
-
-
-def test_mmap_ephemeral_registry_cleaned_after_worker_exception(
-    tiny_workload, recording_registries
-):
-    """A task that raises inside the worker must not leave spool files behind."""
-    factories, tasks = tiny_workload
-    poisoned = tasks + [replace(tasks[0], k=0)]  # Greca rejects k <= 0 worker-side
-    with pytest.raises(AlgorithmError):
-        evaluate_tasks(poisoned, factories, n_shards=2, storage="mmap")
-    (registry,) = recording_registries
-    assert registry.closed
-    assert_spool_deleted(registry.segment_names)
-
-
-def test_mmap_ephemeral_registry_cleaned_after_worker_crash(
-    tiny_workload, recording_registries
-):
-    """A worker killed by ``os._exit`` mid-shard must not orphan spool files.
-
-    Same contract as the shm variant: deletion is owned by the parent-side
-    registry (``os._exit`` runs no worker exit handlers), so the ephemeral
-    registry still closes and every spool file is gone.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.parallel import FaultPlan, FaultSpec
-
-    factories, tasks = tiny_workload
-    crash = FaultPlan((FaultSpec(shard=0, position=1, mode="crash", fires=1),))
-    with pytest.raises(BrokenProcessPool):
-        evaluate_tasks(tasks, factories, n_shards=1, storage="mmap", fault_plan=crash)
-    (registry,) = recording_registries
-    assert registry.closed
-    assert_spool_deleted(registry.segment_names)
-
-
-def test_interrupted_mmap_run_deletes_spool_and_stops_the_pool(tiny_workload):
-    """A KeyboardInterrupt mid-flight tears the file-backed tier down, leak-free."""
-    factories, tasks = tiny_workload
-    pool = PersistentShardExecutor(n_workers=2)
-    registry = SharedArrayRegistry(storage="mmap")
-    with pytest.raises(KeyboardInterrupt):
-        with pool, registry:
-            records = evaluate_tasks(tasks, factories, executor=pool, registry=registry)
-            assert len(records) == len(tasks)
-            names = registry.segment_names
-            spool = registry.spool_path
-            assert pool.warm
-            raise KeyboardInterrupt  # the moment ^C lands between dispatches
-    assert not pool.warm
-    assert registry.closed
-    assert_spool_deleted(names)
-    assert not os.path.exists(spool)
-
-
-# -- the /dev/shm budget: oversized exports spill to the spool ----------------------------------
-
-
-def test_shm_budget_spills_oversized_exports_to_spool(tiny_workload):
-    """An shm registry over budget redirects exports to spool files, bit-exactly."""
-    from repro.parallel import materialise_factory
-
-    factories, tasks = tiny_workload
-    factory = next(iter(factories.values()))
-    reference = evaluate_tasks(tasks, factories)
-    with SharedArrayRegistry(shm_budget_bytes=0) as registry:
-        assert registry.storage == "shm"
-        handle = registry.export(factory)
-        # Every column spilled: the descriptors point at spool files.
-        assert registry.spill_count >= 1
-        assert handle.matrix.storage == "mmap"
-        names = registry.segment_names
-        assert all(os.path.isabs(name) for name in names)
-        # The spilled substrate materialises bit-identically.
-        spilled = materialise_factory(handle)
-        assert spilled.members == factory.members and spilled.items == factory.items
-        records = evaluate_tasks(tasks, factories, n_shards=2, registry=registry)
-        assert records == reference
-    assert_spool_deleted(names)
-
-
-def test_shm_budget_admits_exports_under_the_limit(tiny_workload):
-    """A generous budget never spills; retirement returns the headroom."""
-    factories, _ = tiny_workload
-    factory = next(iter(factories.values()))
-    with SharedArrayRegistry(shm_budget_bytes=1 << 30) as registry:
-        handle = registry.export(factory)
-        assert registry.spill_count == 0
-        assert handle.matrix.storage == "shm"
-        names = registry.segment_names
-        assert all(not os.path.isabs(name) for name in names)
-    assert_unlinked(names)
-
-
-def test_shm_budget_default_comes_from_the_environment(monkeypatch, tiny_workload):
-    """REPRO_SHM_BUDGET_BYTES seeds the default budget at construction."""
-    factories, _ = tiny_workload
-    monkeypatch.setenv("REPRO_SHM_BUDGET_BYTES", "0")
-    with SharedArrayRegistry() as registry:
-        handle = registry.export(next(iter(factories.values())))
-        assert registry.spill_count >= 1
-        assert handle.matrix.storage == "mmap"
-        names = registry.segment_names
-    assert_spool_deleted(names)
-
-
-# -- anti-aliasing: one logical column, two storage backends, two cache identities --------------
-
-
-def test_shm_and_mmap_handles_for_the_same_column_never_alias(tiny_workload):
-    """Handle equality covers the storage backend, so caches cannot mix tiers.
-
-    The same factory exported through an shm registry and an mmap registry
-    yields handles that disagree in their descriptors' ``storage`` field (on
-    top of names and generations) — a worker cache keyed on one must miss on
-    the other, exactly like the PR 8 generation-token contract.
-    """
-    from repro.parallel import materialise_factory, shm
-
-    factories, _ = tiny_workload
-    factory = next(iter(factories.values()))
-    with SharedArrayRegistry() as shm_registry, SharedArrayRegistry(
-        storage="mmap"
-    ) as mmap_registry:
-        shm_handle = shm_registry.export(factory)
-        mmap_handle = mmap_registry.export(factory)
-        assert shm_handle != mmap_handle
-        assert shm_handle.matrix.storage == "shm"
-        assert mmap_handle.matrix.storage == "mmap"
-        # Same logical bytes, two distinct cache identities.
-        first = materialise_factory(shm_handle)
-        assert shm_handle in shm._FACTORY_CACHE
-        assert mmap_handle not in shm._FACTORY_CACHE
-        second = materialise_factory(mmap_handle)
-        assert second is not first
-        assert second.members == first.members and second.items == first.items
-        cache = {shm_handle: "shm", mmap_handle: "mmap"}
-        assert len(cache) == 2
-
-
-def test_affinity_handles_keep_storage_distinct(columnar_workload):
-    """export_affinity under each backend produces non-aliasing handles too."""
-    _, _, columns = columnar_workload
-    with SharedArrayRegistry() as shm_registry, SharedArrayRegistry(
-        storage="mmap"
-    ) as mmap_registry:
-        shm_handle = shm_registry.export_affinity(columns)
-        mmap_handle = mmap_registry.export_affinity(columns)
-        assert shm_handle != mmap_handle
-        assert shm_handle.static.storage == "shm"
-        assert mmap_handle.static.storage == "mmap"
-        assert len({shm_handle, mmap_handle}) == 2
-
-
 def test_fork_workers_keep_the_parents_tracker_registrations():
     """A segment exported after the pool forked is tracked once, by its creator.
 
@@ -999,10 +787,12 @@ def test_fork_workers_keep_the_parents_tracker_registrations():
 def test_pool_forked_before_any_shm_export_shares_the_parents_tracker():
     """Workers forked before the parent's first shm export report to its tracker.
 
-    mmap exports never start a resource tracker, so a pool warmed by an mmap
-    dispatch used to fork before one existed; the first shm attach in each
-    worker then launched a private tracker — one extra process per worker.
-    The pool now starts the parent's tracker before it forks.
+    The pool here forks before anything has started a resource tracker (its
+    first use is a probe, not a dispatch).  A worker forked then inherits no
+    tracker, so its first segment attach would launch a private one — one
+    extra process per worker.  The pool starts the parent's tracker before
+    it forks, so every probe, before and after the first shm dispatch, sees
+    the parent's tracker and no private one.
     """
     import subprocess
     import sys
@@ -1016,16 +806,17 @@ def test_pool_forked_before_any_shm_export_shares_the_parents_tracker():
             "def probe():",
             "    time.sleep(0.3)",
             "    return os.getpid(), shm._PRIVATE_TRACKER, resource_tracker._resource_tracker._pid",
+            "def probe_all(pool):",
+            "    return [future.result() for future in [pool.submit(probe) for _ in range(4)]]",
             "config = ScalabilityConfig(n_users=60, n_items=260, n_ratings=3_000,",
             "                           n_participants=16, n_groups=5, seed=11)",
             "env = ScalabilityEnvironment(config)",
             "groups = env.random_groups()",
             "serial = env.run_records(groups)",
-            "for storage in ('mmap', 'shm'):",
-            "    policy = ExecutionPolicy(n_workers=2, executor='persistent', storage=storage)",
-            "    assert env.run_records(groups, policy=policy) == serial",
-            "pool = env._persistent_pools[2].ensure_pool()",
-            "probes = [future.result() for future in [pool.submit(probe) for _ in range(4)]]",
+            "probes = probe_all(env._persistent_pool(2).ensure_pool())",
+            "policy = ExecutionPolicy(n_workers=2, executor='persistent')",
+            "assert env.run_records(groups, policy=policy) == serial",
+            "probes += probe_all(env._persistent_pool(2).ensure_pool())",
             "print('PARENT', resource_tracker._resource_tracker._pid, flush=True)",
             "for pid, private, tracker in probes:",
             "    print('WORKER', pid, private, tracker, flush=True)",
@@ -1045,7 +836,8 @@ def test_pool_forked_before_any_shm_export_shares_the_parents_tracker():
     assert done.returncode == 0, done.stderr
     lines = [line.split() for line in done.stdout.splitlines()]
     (parent,) = [int(line[1]) for line in lines if line[0] == "PARENT"]
-    workers = {(int(line[1]), line[2], int(line[3])) for line in lines if line[0] == "WORKER"}
+    workers = [(int(line[1]), line[2], line[3]) for line in lines if line[0] == "WORKER"]
+    assert len(workers) == 8
     assert len({pid for pid, _, _ in workers}) == 2  # both workers were probed
     assert all(private == "False" for _, private, _ in workers), workers
-    assert all(tracker == parent for _, _, tracker in workers), (parent, workers)
+    assert all(tracker == str(parent) for _, _, tracker in workers), (parent, workers)
